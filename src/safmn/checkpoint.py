@@ -22,6 +22,7 @@ mode, so save/load round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -90,7 +91,11 @@ def save_checkpoint(
     seed: int = 0,
     optimizer=None,
 ) -> None:
-    """Write model (and optionally Adam state) to ``path``."""
+    """Write model (and optionally Adam state) to ``path``.
+
+    The bytes go to a temporary file in the same directory, which is synced
+    and then renamed over ``path``; a failed write leaves ``path`` untouched.
+    """
     parts = [MAGIC, struct.pack("<H", VERSION)]
     cfg = json.dumps(model.config.to_dict(), sort_keys=True).encode()
     parts.append(struct.pack("<I", len(cfg)) + cfg)
@@ -113,8 +118,17 @@ def save_checkpoint(
             parts.append(_pack_array(m))
             parts.append(_pack_array(v))
     data = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path) -> Checkpoint:

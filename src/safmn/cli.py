@@ -200,6 +200,8 @@ def cmd_infer(args) -> int:
         with no_grad():
             sr = model(Tensor(planes[None])).data[0]
         elapsed = time.perf_counter() - start
+        if not np.isfinite(sr).all():
+            raise TrainingError(f"{path.name}: super-resolved output contains non-finite values")
         encode_png(ImageBuffer.from_planes(np.clip(sr, 0.0, 1.0)), out_dir / path.name)
         print(f"{path.name}: {img.width}x{img.height} -> "
               f"{img.width * model.config.scale}x{img.height * model.config.scale} "

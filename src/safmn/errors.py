@@ -37,4 +37,4 @@ class FormatError(SafmnError, ValueError):
 
 
 class TrainingError(SafmnError, RuntimeError):
-    """Training cannot continue (non-finite loss or gradients)."""
+    """Training or inference hit non-finite numbers (loss, gradients, output)."""

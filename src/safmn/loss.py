@@ -11,33 +11,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
-from .fft import fft2_batched, ifft2_batched
-from .tensor import Tensor, add, make_result, scale
+# Unnormalized forward 2-D DFT over the last two axes; the inverse divides
+# by h*w.  Module-level names so callers can wrap them.
+from numpy.fft import fft2 as fft2_batched, ifft2 as ifft2_batched
 
-FREQ_REDUCTIONS = ("mean", "sum")
-FREQ_NORMS = ("components", "magnitude")
+from .errors import ConfigError, DimensionError
+from .tensor import Tensor, add, make_result, scale
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Composite loss settings.
-
-    ``freq_reduction`` and ``freq_norm`` expose the undocumented alternatives
-    (sum reduction, complex-magnitude L1); the defaults are the tested path.
-    """
+    """Composite loss settings: ``lambda_weight`` scales the spectral term."""
 
     lambda_weight: float = 0.05
-    freq_reduction: str = "mean"
-    freq_norm: str = "components"
 
     def __post_init__(self):
         if self.lambda_weight < 0:
             raise ConfigError(f"lambda_weight must be >= 0, got {self.lambda_weight}")
-        if self.freq_reduction not in FREQ_REDUCTIONS:
-            raise ConfigError(f"freq_reduction must be one of {FREQ_REDUCTIONS}")
-        if self.freq_norm not in FREQ_NORMS:
-            raise ConfigError(f"freq_norm must be one of {FREQ_NORMS}")
 
 
 def _as_array(t) -> np.ndarray:
@@ -57,23 +47,16 @@ def mean_abs_error(pred: Tensor, target) -> Tensor:
     return make_result(np.array(np.abs(diff).mean(), dtype=pred.dtype), (pred,), backward)
 
 
-def frequency_l1(pred: Tensor, target, reduction: str = "mean", norm: str = "components") -> Tensor:
-    """L1 distance between the 2-D spectra of prediction and target planes."""
+def frequency_l1(pred: Tensor, target) -> Tensor:
+    """Mean L1 over the real and imaginary parts of the spectral difference."""
     tgt = _as_array(target)
     if pred.data.shape != tgt.shape:
         raise DimensionError(f"loss: shape mismatch {pred.data.shape} vs {tgt.shape}")
     h, w = pred.data.shape[-2:]
     spectrum = fft2_batched(pred.data.astype(np.float64) - tgt.astype(np.float64))
-    denom = spectrum.size if reduction == "mean" else 1
-
-    if norm == "components":
-        value = (np.abs(spectrum.real).sum() + np.abs(spectrum.imag).sum()) / denom
-        phase = np.sign(spectrum.real) + 1j * np.sign(spectrum.imag)
-    else:
-        mag = np.abs(spectrum)
-        value = mag.sum() / denom
-        with np.errstate(invalid="ignore", divide="ignore"):
-            phase = np.where(mag > 0, spectrum / np.where(mag > 0, mag, 1.0), 0.0)
+    denom = spectrum.size
+    value = (np.abs(spectrum.real).sum() + np.abs(spectrum.imag).sum()) / denom
+    phase = np.sign(spectrum.real) + 1j * np.sign(spectrum.imag)
 
     def backward(g):
         # Adjoint of the unnormalized forward DFT is h*w times the
@@ -88,7 +71,7 @@ def composite_loss(pred: Tensor, target, cfg: LossConfig = LossConfig()) -> Tens
     """Pixel L1 plus lambda-weighted spectral L1, as a scalar graph node."""
     total = mean_abs_error(pred, target)
     if cfg.lambda_weight != 0.0:
-        freq = frequency_l1(pred, target, cfg.freq_reduction, cfg.freq_norm)
+        freq = frequency_l1(pred, target)
         total = add(total, scale(freq, cfg.lambda_weight))
     return total
 

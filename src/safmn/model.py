@@ -183,9 +183,9 @@ NamedParams = Iterator[tuple[str, Tensor]]
 class Conv2d:
     """Convolution parameter holder (weights created zero, filled by init)."""
 
-    def __init__(self, c_in: int, c_out: int, k: int, groups: int = 1, padding: int | None = None):
+    def __init__(self, c_in: int, c_out: int, k: int, groups: int = 1):
         self.c_in, self.c_out, self.k, self.groups = c_in, c_out, k, groups
-        self.padding = (k // 2) if padding is None else padding
+        self.padding = k // 2
         dt = default_dtype()
         self.weight = Tensor(np.zeros((c_out, c_in // groups, k, k), dtype=dt), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out, dtype=dt), requires_grad=True)
@@ -195,7 +195,7 @@ class Conv2d:
         return (self.c_in // self.groups) * self.k * self.k
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.conv2d(x, self.weight, self.bias, stride=1, padding=self.padding, groups=self.groups)
+        return ops.conv2d(x, self.weight, self.bias, padding=self.padding, groups=self.groups)
 
     def named_parameters(self, prefix: str) -> NamedParams:
         yield f"{prefix}.weight", self.weight

@@ -1,6 +1,6 @@
 """Differentiable kernels over rank-4 tensors.
 
-Everything the network needs: convolution (dense, grouped, depthwise),
+Everything the network needs: stride-1 convolution (dense, 1x1, depthwise),
 adaptive pooling, nearest-neighbour resampling, pixel shuffle, activations,
 channel-wise normalizations, and channel split/concat.  Each kernel is a pure
 function; the backward closure captures only what the analytic
@@ -42,10 +42,6 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return erf(x)
 
 
-def _out_extent(size: int, k: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - k) // stride + 1
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -54,17 +50,21 @@ def conv2d(
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
-    """2-D cross-correlation with zero padding.
+    """Stride-1 2-D cross-correlation with zero padding.
 
-    ``weight`` has shape (c_out, c_in // groups, k, k).  Accumulation runs in
-    a fixed order (kernel taps row-major, then the channel reduction), so the
-    result is reproducible bit-for-bit across runs.
+    ``groups`` is 1 (dense, weight (c_out, c_in, k, k)) or c_in == c_out
+    (depthwise, weight (c, 1, k, k)); ``stride`` must be 1.  Accumulation runs
+    in a fixed order (kernel taps row-major, then the channel reduction), so
+    the result is reproducible bit-for-bit across runs.
     """
     n, c_in, h, w = x.data.shape
     c_out, c_in_g, kh, kw = weight.data.shape
-    if c_in % groups or c_out % groups:
+    if stride != 1:
+        raise DimensionError(f"conv2d: only stride 1 is supported, got {stride}")
+    depthwise = groups == c_in == c_out
+    if not (groups == 1 or depthwise):
         raise DimensionError(
-            f"conv2d: channels ({c_in} in, {c_out} out) not divisible by groups={groups}"
+            f"conv2d: groups must be 1 or c_in == c_out, got {groups} for {c_in} -> {c_out} channels"
         )
     if c_in_g != c_in // groups:
         raise DimensionError(
@@ -72,17 +72,15 @@ def conv2d(
         )
     if bias is not None and bias.data.shape != (c_out,):
         raise DimensionError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
-    oh = _out_extent(h, kh, stride, padding)
-    ow = _out_extent(w, kw, stride, padding)
+    oh = h + 2 * padding - kh + 1
+    ow = w + 2 * padding - kw + 1
     if oh <= 0 or ow <= 0:
         raise DimensionError(f"conv2d: output would be empty for input {h}x{w}")
 
-    if groups == c_in and c_out == c_in:
-        out, backward = _depthwise_conv(x, weight, stride, padding, oh, ow)
-    elif groups == 1:
-        out, backward = _dense_conv(x, weight, stride, padding, oh, ow)
+    if depthwise:
+        out, backward = _depthwise_conv(x, weight, padding, oh, ow)
     else:
-        out, backward = _grouped_conv(x, weight, stride, padding, groups, oh, ow)
+        out, backward = _dense_conv(x, weight, padding, oh, ow)
 
     if bias is None:
         return make_result(out, (x, weight), backward)
@@ -105,7 +103,7 @@ def _pad_input(x_data: np.ndarray, padding: int) -> np.ndarray:
     return out
 
 
-def _depthwise_conv(x, weight, stride, padding, oh, ow):
+def _depthwise_conv(x, weight, padding, oh, ow):
     # One filter per channel: accumulate the k*k taps as shifted broadcasts.
     n, c, h, w = x.data.shape
     _, _, kh, kw = weight.data.shape
@@ -114,7 +112,7 @@ def _depthwise_conv(x, weight, stride, padding, oh, ow):
     out = np.zeros((n, c, oh, ow), dtype=x.data.dtype)
     for di in range(kh):
         for dj in range(kw):
-            tap = xp[:, :, di : di + oh * stride : stride, dj : dj + ow * stride : stride]
+            tap = xp[:, :, di : di + oh, dj : dj + ow]
             out += tap * w_data[None, :, di, dj, None, None]
 
     def backward(g):
@@ -122,44 +120,40 @@ def _depthwise_conv(x, weight, stride, padding, oh, ow):
         dw = np.zeros_like(weight.data)
         for di in range(kh):
             for dj in range(kw):
-                tap = xp[:, :, di : di + oh * stride : stride, dj : dj + ow * stride : stride]
+                tap = xp[:, :, di : di + oh, dj : dj + ow]
                 dw[:, 0, di, dj] = (g * tap).sum(axis=(0, 2, 3))
-                dxp[:, :, di : di + oh * stride : stride, dj : dj + ow * stride : stride] += (
-                    g * w_data[None, :, di, dj, None, None]
-                )
+                dxp[:, :, di : di + oh, dj : dj + ow] += g * w_data[None, :, di, dj, None, None]
         dx = dxp if padding == 0 else dxp[:, :, padding:-padding, padding:-padding]
         return dx, dw
 
     return out, backward
 
 
-def _im2col(x_data: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
+def _im2col(x_data: np.ndarray, kh: int, kw: int, padding: int, oh: int, ow: int):
     xp = _pad_input(x_data, padding)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     # (n, c, oh, ow, kh, kw) -> (n*oh*ow, c*kh*kw), forcing one contiguous copy
     n, c = x_data.shape[:2]
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
     return cols
 
 
-def _col2im(dcols: np.ndarray, x_shape, kh, kw, stride, padding, oh, ow) -> np.ndarray:
+def _col2im(dcols: np.ndarray, x_shape, kh, kw, padding, oh, ow) -> np.ndarray:
     n, c, h, w = x_shape
     dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
     d6 = dcols.reshape(n, oh, ow, c, kh, kw)
     for di in range(kh):
         for dj in range(kw):
-            dxp[:, :, di : di + oh * stride : stride, dj : dj + ow * stride : stride] += (
-                d6[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
-            )
+            dxp[:, :, di : di + oh, dj : dj + ow] += d6[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
     if padding:
         return dxp[:, :, padding:-padding, padding:-padding]
     return dxp
 
 
-def _dense_conv(x, weight, stride, padding, oh, ow):
+def _dense_conv(x, weight, padding, oh, ow):
     n, c_in, h, w = x.data.shape
     c_out, _, kh, kw = weight.data.shape
-    cols = _im2col(x.data, kh, kw, stride, padding, oh, ow)
+    cols = _im2col(x.data, kh, kw, padding, oh, ow)
     w2 = weight.data.reshape(c_out, c_in * kh * kw)
     out = (cols @ w2.T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
@@ -167,44 +161,10 @@ def _dense_conv(x, weight, stride, padding, oh, ow):
         g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, c_out)
         dw = (g_mat.T @ cols).reshape(weight.data.shape)
         dcols = g_mat @ w2
-        dx = _col2im(dcols, x.data.shape, kh, kw, stride, padding, oh, ow)
+        dx = _col2im(dcols, x.data.shape, kh, kw, padding, oh, ow)
         return dx, dw
 
     return np.ascontiguousarray(out), backward
-
-
-def _grouped_conv(x, weight, stride, padding, groups, oh, ow):
-    n, c_in, h, w = x.data.shape
-    c_out, c_in_g, kh, kw = weight.data.shape
-    c_out_g = c_out // groups
-    out = np.empty((n, c_out, oh, ow), dtype=x.data.dtype)
-    cols_per_group = []
-    for g_idx in range(groups):
-        xs = x.data[:, g_idx * c_in_g : (g_idx + 1) * c_in_g]
-        cols = _im2col(xs, kh, kw, stride, padding, oh, ow)
-        cols_per_group.append(cols)
-        w2 = weight.data[g_idx * c_out_g : (g_idx + 1) * c_out_g].reshape(c_out_g, -1)
-        out[:, g_idx * c_out_g : (g_idx + 1) * c_out_g] = (
-            (cols @ w2.T).reshape(n, oh, ow, c_out_g).transpose(0, 3, 1, 2)
-        )
-
-    def backward(g):
-        dx = np.empty_like(x.data)
-        dw = np.empty_like(weight.data)
-        for g_idx in range(groups):
-            gs = g[:, g_idx * c_out_g : (g_idx + 1) * c_out_g]
-            g_mat = np.ascontiguousarray(gs.transpose(0, 2, 3, 1)).reshape(n * oh * ow, c_out_g)
-            w2 = weight.data[g_idx * c_out_g : (g_idx + 1) * c_out_g].reshape(c_out_g, -1)
-            dw[g_idx * c_out_g : (g_idx + 1) * c_out_g] = (
-                g_mat.T @ cols_per_group[g_idx]
-            ).reshape(c_out_g, c_in_g, kh, kw)
-            dcols = g_mat @ w2
-            dx[:, g_idx * c_in_g : (g_idx + 1) * c_in_g] = _col2im(
-                dcols, (n, c_in_g, h, w), kh, kw, stride, padding, oh, ow
-            )
-        return dx, dw
-
-    return out, backward
 
 
 def _pool_bounds(in_size: int, out_size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -198,6 +198,19 @@ class TestInferAndEval:
         sr = decode_png(out / "img.png")
         assert np.all(sr.data == 0)
 
+    def test_non_finite_output_exits_3_without_writing(self, tmp_path, capsys):
+        model = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0)
+        model.upsampler.bias.data[0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(model, ckpt)
+        lr_dir = tmp_path / "lr"
+        lr_dir.mkdir()
+        _write_chart(lr_dir / "img.png", 16, 0)
+        out = tmp_path / "sr"
+        assert main(["infer", "--checkpoint", str(ckpt), "--lr-dir", str(lr_dir), "--out-dir", str(out)]) == 3
+        assert not (out / "img.png").exists()
+        assert "non-finite" in capsys.readouterr().err
+
     def test_scale_mismatch_exits_2(self, tmp_path):
         ckpt = self._checkpoint(tmp_path, scale=2)
         lr_dir = tmp_path / "lr"

@@ -34,14 +34,6 @@ def test_conv2d_depthwise(seed):
     check_grads_against_fd(lambda x, w, b: ops.conv2d(x, w, b, 1, 1, 4), [x, w, b], rng)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_conv2d_grouped_strided(seed):
-    rng = np.random.default_rng(200 + seed)
-    x = rand_tensor(rng, (1, 4, 7, 6))
-    w = rand_tensor(rng, (6, 2, 3, 3), scale=0.4)
-    check_grads_against_fd(lambda x, w: ops.conv2d(x, w, None, 2, 1, 2), [x, w], rng)
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_conv2d_1x1(seed):
     rng = np.random.default_rng(300 + seed)

@@ -226,6 +226,46 @@ class TestCheckpoint:
             np.testing.assert_array_equal(m, opt.moments[name][0])
             np.testing.assert_array_equal(v, opt.moments[name][1])
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import builtins
+
+        from safmn import checkpoint
+
+        model = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path, iteration=1)
+        good = path.read_bytes()
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        real_open = builtins.open
+
+        def half_open(*args, **kwargs):
+            return HalfWriter(real_open(*args, **kwargs))
+
+        monkeypatch.setattr(checkpoint, "open", half_open, raising=False)
+        other = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=1)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(other, path, iteration=2)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+        for (_, pa), (_, pb) in zip(model.named_parameters(), load_checkpoint(path).named_parameters()):
+            assert np.array_equal(pa.data, pb.data)
+
     def test_corrupt_magic_names_offset_zero(self, tmp_path):
         model = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0)
         path = tmp_path / "m.ckpt"
