@@ -17,7 +17,8 @@ Layout (all integers little-endian):
                (first and second moment), each u64 length + float64 raw data
 
 Parameters are stored as 64-bit floats regardless of the active precision
-mode, so save/load round trips are bit-exact.
+mode, so save/load round trips are bit-exact.  Reading rejects a parameter or
+Adam moment that holds NaN or infinity.
 """
 from __future__ import annotations
 
@@ -80,7 +81,10 @@ def _read_array(r: _Reader, what: str) -> np.ndarray:
     if nbytes % 8:
         raise FormatError(f"{what} payload length {nbytes} is not a multiple of 8", r.pos - 8)
     raw = r.take(nbytes, what)
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{what} holds non-finite values", r.pos - nbytes)
+    return arr
 
 
 def save_checkpoint(

@@ -5,13 +5,17 @@ adaptive pooling, nearest-neighbour resampling, pixel shuffle, activations,
 channel-wise normalizations, and channel split/concat.  Each kernel is a pure
 function; the backward closure captures only what the analytic
 vector-Jacobian product needs.
+
+Dense convolution runs as shifted GEMMs on the NCHW layout: every kernel tap
+is one batched matrix product over the input channels, and the taps are
+accumulated row-major into one output buffer.  A 1x1 kernel without padding
+is a single such product on the input itself, with no copy.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
 
 from .errors import DimensionError
@@ -54,8 +58,11 @@ def conv2d(
 
     ``groups`` is 1 (dense, weight (c_out, c_in, k, k)) or c_in == c_out
     (depthwise, weight (c, 1, k, k)); ``stride`` must be 1.  Accumulation runs
-    in a fixed order (kernel taps row-major, then the channel reduction), so
-    the result is reproducible bit-for-bit across runs.
+    in a fixed order, so the result is reproducible bit-for-bit across runs:
+    each kernel tap is first reduced over the input channels (one batched
+    GEMM per tap for dense kernels, one elementwise product for depthwise),
+    then the taps are summed in row-major order.  A dense tap's weight
+    gradient is reduced over pixels by a GEMM, then over the batch.
     """
     n, c_in, h, w = x.data.shape
     c_out, c_in_g, kh, kw = weight.data.shape
@@ -105,64 +112,83 @@ def _pad_input(x_data: np.ndarray, padding: int) -> np.ndarray:
 
 def _depthwise_conv(x, weight, padding, oh, ow):
     # One filter per channel: accumulate the k*k taps as shifted broadcasts.
+    # Each tap product goes into one reused scratch buffer.
     n, c, h, w = x.data.shape
     _, _, kh, kw = weight.data.shape
     xp = _pad_input(x.data, padding)
     w_data = weight.data[:, 0]  # (c, kh, kw)
     out = np.zeros((n, c, oh, ow), dtype=x.data.dtype)
+    prod = np.empty((n, c, oh, ow), dtype=np.result_type(xp, w_data))
     for di in range(kh):
         for dj in range(kw):
             tap = xp[:, :, di : di + oh, dj : dj + ow]
-            out += tap * w_data[None, :, di, dj, None, None]
+            out += np.multiply(tap, w_data[None, :, di, dj, None, None], out=prod)
 
     def backward(g):
         dxp = np.zeros_like(xp)
         dw = np.zeros_like(weight.data)
+        gprod = np.empty(g.shape, dtype=np.result_type(g, xp, w_data))
         for di in range(kh):
             for dj in range(kw):
                 tap = xp[:, :, di : di + oh, dj : dj + ow]
-                dw[:, 0, di, dj] = (g * tap).sum(axis=(0, 2, 3))
-                dxp[:, :, di : di + oh, dj : dj + ow] += g * w_data[None, :, di, dj, None, None]
+                dw[:, 0, di, dj] = np.multiply(g, tap, out=gprod).sum(axis=(0, 2, 3))
+                dxp[:, :, di : di + oh, dj : dj + ow] += np.multiply(
+                    g, w_data[None, :, di, dj, None, None], out=gprod
+                )
         dx = dxp if padding == 0 else dxp[:, :, padding:-padding, padding:-padding]
         return dx, dw
 
     return out, backward
 
 
-def _im2col(x_data: np.ndarray, kh: int, kw: int, padding: int, oh: int, ow: int):
-    xp = _pad_input(x_data, padding)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # (n, c, oh, ow, kh, kw) -> (n*oh*ow, c*kh*kw), forcing one contiguous copy
-    n, c = x_data.shape[:2]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
-    return cols
-
-
-def _col2im(dcols: np.ndarray, x_shape, kh, kw, padding, oh, ow) -> np.ndarray:
-    n, c, h, w = x_shape
-    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, oh, ow, c, kh, kw)
-    for di in range(kh):
-        for dj in range(kw):
-            dxp[:, :, di : di + oh, dj : dj + ow] += d6[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
-    if padding:
-        return dxp[:, :, padding:-padding, padding:-padding]
-    return dxp
-
-
 def _dense_conv(x, weight, padding, oh, ow):
+    # The zero-padded input is flattened per channel to one row of hp*wp + kw - 1
+    # values.  Output pixel (i, j) at padded width wp then reads tap (di, dj)
+    # at flat index i*wp + j + di*wp + dj, so each tap is one batched GEMM over
+    # a shifted window of oh*wp columns; the wp - ow columns per row that wrap
+    # into the next row are cropped at the end.
     n, c_in, h, w = x.data.shape
     c_out, _, kh, kw = weight.data.shape
-    cols = _im2col(x.data, kh, kw, padding, oh, ow)
-    w2 = weight.data.reshape(c_out, c_in * kh * kw)
-    out = (cols @ w2.T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    span = oh * wp
+    offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
+    taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(kh * kw, c_out, c_in)
+    if padding == 0 and kw == 1:
+        xp = x.data.reshape(n, c_in, h * w)  # already in the flattened layout
+    else:
+        xp = np.zeros((n, c_in, hp * wp + kw - 1), dtype=x.data.dtype)
+        xp[:, :, : hp * wp].reshape(n, c_in, hp, wp)[
+            :, :, padding : padding + h, padding : padding + w
+        ] = x.data
+
+    out = np.matmul(taps[0], xp[:, :, :span])
+    prod = np.empty_like(out) if len(offsets) > 1 else None
+    for t in range(1, len(offsets)):
+        off = offsets[t]
+        out += np.matmul(taps[t], xp[:, :, off : off + span], out=prod)
+    out = out.reshape(n, c_out, oh, wp)[:, :, :, :ow]
 
     def backward(g):
-        g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, c_out)
-        dw = (g_mat.T @ cols).reshape(weight.data.shape)
-        dcols = g_mat @ w2
-        dx = _col2im(dcols, x.data.shape, kh, kw, padding, oh, ow)
-        return dx, dw
+        if wp == ow:
+            gp = g.reshape(n, c_out, span)
+        else:  # zero gradient on the wrapped columns
+            gp = np.zeros((n, c_out, oh, wp), dtype=g.dtype)
+            gp[:, :, :, :ow] = g
+            gp = gp.reshape(n, c_out, span)
+        dw = np.stack([
+            np.matmul(gp, xp[:, :, off : off + span].transpose(0, 2, 1)).sum(axis=0)
+            for off in offsets
+        ])
+        if len(offsets) == 1:
+            dxp = np.matmul(taps[0].T, gp)
+        else:
+            dxp = np.zeros(xp.shape, dtype=np.result_type(taps, gp))
+            prod = np.empty((n, c_in, span), dtype=dxp.dtype)
+            for t, off in enumerate(offsets):
+                dxp[:, :, off : off + span] += np.matmul(taps[t].T, gp, out=prod)
+        dx = dxp[:, :, : hp * wp].reshape(n, c_in, hp, wp)
+        dx = dx[:, :, padding : padding + h, padding : padding + w]
+        return dx, dw.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1)
 
     return np.ascontiguousarray(out), backward
 

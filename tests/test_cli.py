@@ -199,6 +199,22 @@ class TestInferAndEval:
         assert np.all(sr.data == 0)
 
     def test_non_finite_output_exits_3_without_writing(self, tmp_path, capsys):
+        # Finite parameters whose float64 forward overflows in the first conv.
+        model = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0)
+        model.first_conv.weight.data[...] = np.finfo(np.float64).max
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(model, ckpt)
+        lr_dir = tmp_path / "lr"
+        lr_dir.mkdir()
+        _write_chart(lr_dir / "img.png", 16, 0)
+        out = tmp_path / "sr"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["infer", "--checkpoint", str(ckpt), "--lr-dir", str(lr_dir), "--out-dir", str(out)])
+        assert rc == 3
+        assert not (out / "img.png").exists()
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exits_2_without_writing(self, tmp_path, capsys):
         model = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0)
         model.upsampler.bias.data[0] = np.nan
         ckpt = tmp_path / "nan.ckpt"
@@ -207,9 +223,9 @@ class TestInferAndEval:
         lr_dir.mkdir()
         _write_chart(lr_dir / "img.png", 16, 0)
         out = tmp_path / "sr"
-        assert main(["infer", "--checkpoint", str(ckpt), "--lr-dir", str(lr_dir), "--out-dir", str(out)]) == 3
-        assert not (out / "img.png").exists()
-        assert "non-finite" in capsys.readouterr().err
+        assert main(["infer", "--checkpoint", str(ckpt), "--lr-dir", str(lr_dir), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "upsampler.bias" in capsys.readouterr().err
 
     def test_scale_mismatch_exits_2(self, tmp_path):
         ckpt = self._checkpoint(tmp_path, scale=2)

@@ -44,6 +44,24 @@ def test_conv2d_1x1(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_conv2d_dense_unpadded(seed):
+    rng = np.random.default_rng(200 + seed)
+    x = rand_tensor(rng, (2, 3, 6, 5))
+    w = rand_tensor(rng, (4, 3, 3, 3), scale=0.4)
+    b = rand_tensor(rng, (4,), scale=0.2)
+    check_grads_against_fd(lambda x, w, b: ops.conv2d(x, w, b, 1, 0, 1), [x, w, b], rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_conv2d_1x1_batch3_nonsquare(seed):
+    rng = np.random.default_rng(400 + seed)
+    x = rand_tensor(rng, (3, 4, 3, 5))
+    w = rand_tensor(rng, (2, 4, 1, 1), scale=0.5)
+    b = rand_tensor(rng, (2,), scale=0.2)
+    check_grads_against_fd(lambda x, w, b: ops.conv2d(x, w, b, 1, 0, 1), [x, w, b], rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_adaptive_max_pool(seed):
     rng = np.random.default_rng(400 + seed)
     x = rand_tensor(rng, (2, 3, 6, 6))

@@ -277,6 +277,23 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert exc.value.offset == 0
 
+    def test_non_finite_parameter_rejected_at_load(self, tmp_path):
+        model = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0)
+        model.upsampler.bias.data[0] = np.nan
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(FormatError, match="upsampler.bias data holds non-finite"):
+            load_checkpoint(path)
+
+    def test_non_finite_adam_moment_rejected(self, tmp_path):
+        model = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0)
+        opt = Adam(list(model.named_parameters()))
+        opt.moments["first_conv.weight"][1][0, 0, 0, 0] = np.inf
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path, optimizer=opt)
+        with pytest.raises(FormatError, match="first_conv.weight second moment holds non-finite"):
+            read_checkpoint(path)
+
     def test_truncation_reports_offset(self, tmp_path):
         model = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0)
         path = tmp_path / "m.ckpt"

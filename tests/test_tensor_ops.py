@@ -57,6 +57,10 @@ class TestConv2d:
             ((1, 3, 7, 6), (3, 1, 3, 3), 1, 0, 3),
             ((1, 2, 7, 6), (3, 2, 3, 3), 1, 0, 1),
             ((1, 3, 5, 5), (5, 3, 1, 1), 1, 0, 1),
+            ((2, 5, 4, 9), (3, 5, 3, 3), 1, 1, 1),
+            ((1, 3, 1, 5), (2, 3, 3, 3), 1, 1, 1),
+            ((1, 3, 4, 5), (2, 3, 1, 1), 1, 1, 1),
+            ((3, 4, 3, 7), (5, 4, 1, 1), 1, 0, 1),
         ],
     )
     def test_matches_direct_summation(self, shape, wshape, stride, padding, groups):
