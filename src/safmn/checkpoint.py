@@ -17,12 +17,14 @@ Layout (all integers little-endian):
                (first and second moment), each u64 length + float64 raw data
 
 Parameters are stored as 64-bit floats regardless of the active precision
-mode, so save/load round trips are bit-exact.  Reading rejects a parameter or
-Adam moment that holds NaN or infinity.
+mode, so save/load round trips are bit-exact.  Reading raises ``FormatError``
+at the failing byte offset for any malformed field, including a parameter or
+Adam moment that holds NaN or infinity or whose size does not match its shape.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -76,15 +78,20 @@ def _pack_array(arr: np.ndarray) -> bytes:
     return struct.pack("<Q", len(payload)) + payload
 
 
-def _read_array(r: _Reader, what: str) -> np.ndarray:
+def _read_array(r: _Reader, what: str, shape: tuple[int, ...]) -> np.ndarray:
     nbytes = r.u64(f"{what} length")
     if nbytes % 8:
         raise FormatError(f"{what} payload length {nbytes} is not a multiple of 8", r.pos - 8)
     raw = r.take(nbytes, what)
     arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if arr.size != math.prod(shape):
+        raise FormatError(
+            f"{what}: payload holds {arr.size} values, shape {shape} needs {math.prod(shape)}",
+            r.pos,
+        )
     if not np.isfinite(arr).all():
         raise FormatError(f"{what} holds non-finite values", r.pos - nbytes)
-    return arr
+    return arr.reshape(shape)
 
 
 def save_checkpoint(
@@ -148,9 +155,10 @@ def read_checkpoint(path) -> Checkpoint:
         raise FormatError(f"unsupported checkpoint version {version}", 4)
     cfg_len = r.u32("config length")
     cfg_start = r.pos
+    cfg = r.take(cfg_len, "config")
     try:
-        config = ModelConfig.from_dict(json.loads(r.take(cfg_len, "config")))
-    except (ValueError, KeyError) as exc:
+        config = ModelConfig.from_dict(json.loads(cfg))
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise FormatError(f"invalid embedded config: {exc}", cfg_start) from exc
     iteration = r.u64("iteration")
     seed = r.u64("seed")
@@ -159,17 +167,13 @@ def read_checkpoint(path) -> Checkpoint:
     order: list[str] = []
     for _ in range(n_params):
         name_len = r.u16("parameter name length")
-        name = r.take(name_len, "parameter name").decode()
+        try:
+            name = r.take(name_len, "parameter name").decode()
+        except UnicodeDecodeError:
+            raise FormatError("parameter name is not UTF-8", r.pos - name_len) from None
         ndim = r.u8(f"{name} ndim")
         dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim, f"{name} dims"))
-        arr = _read_array(r, f"{name} data")
-        expected = int(np.prod(dims)) if dims else 1
-        if arr.size != expected:
-            raise FormatError(
-                f"{name}: payload holds {arr.size} values, shape {dims} needs {expected}",
-                r.pos,
-            )
-        params[name] = arr.reshape(dims)
+        params[name] = _read_array(r, f"{name} data", dims)
         order.append(name)
     opt_step = None
     opt_moments = None
@@ -177,9 +181,11 @@ def read_checkpoint(path) -> Checkpoint:
         opt_step = r.u64("optimizer step")
         opt_moments = {}
         for name in order:
-            m = _read_array(r, f"{name} first moment")
-            v = _read_array(r, f"{name} second moment")
-            opt_moments[name] = (m.reshape(params[name].shape), v.reshape(params[name].shape))
+            shape = params[name].shape
+            opt_moments[name] = (
+                _read_array(r, f"{name} first moment", shape),
+                _read_array(r, f"{name} second moment", shape),
+            )
     return Checkpoint(config, params, iteration, seed, opt_step, opt_moments)
 
 

@@ -81,7 +81,7 @@ def _png_paths(directory: str) -> list[Path]:
     root = Path(directory)
     if not root.is_dir():
         raise DataError(f"{directory!r} is not a directory")
-    paths = sorted(root.glob("*.png"))
+    paths = sorted(p for p in root.glob("*.png") if p.is_file())
     if not paths:
         raise DataError(f"no PNG files in {directory!r}")
     return paths
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     except SafmnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

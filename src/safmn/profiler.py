@@ -1,4 +1,4 @@
-"""Symbolic complexity accounting: #params, #FLOPs, #activations.
+"""Per-layer complexity accounting: #params, #FLOPs, #activations.
 
 Counts follow the convention of common conv-net profiling tools: one FLOP is
 one multiply-accumulate, only convolution layers contribute FLOPs and
@@ -9,7 +9,11 @@ run on the floor-divided pooled planes).  Parameter counts include every
 trainable scalar, so normalization affine weights do appear in the params
 column with zero FLOPs/acts.
 
-Everything is closed-form over the configuration; no tensors are allocated.
+The rows are read off the built model: one per convolution and one per
+norm layer, named by its parameter prefix, in parameter order.  Only the
+(zero-filled) parameters are allocated; no activation is.  A convolution runs
+at the input size except a SAFM pyramid convolution at level ``l`` (pooled
+planes of ``size // 2**l``) and a squeeze-excite convolution (1x1).
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import MIXER_EXPANSION, SE_REDUCTION, ModelConfig, SafmnModel
+from .model import SAFM, Conv2d, ModelConfig, Norm, SafmnModel, SqueezeExcite
 
 REPORT_COLUMNS = ("name", "kind", "params", "flops", "acts")
 
@@ -51,72 +55,31 @@ class ComplexityReport:
         return sum(rec.acts for rec in self.layers)
 
 
-def _conv_cost(name, kind, c_in, c_out, k, groups, out_h, out_w, batch) -> LayerCost:
-    params = c_out * (c_in // groups) * k * k + c_out
-    out_elems = batch * c_out * out_h * out_w
-    flops = (c_in // groups) * k * k * out_elems
+def _conv_cost(name: str, conv: Conv2d, out_h: int, out_w: int, batch: int) -> LayerCost:
+    kind = f"{'dw' if conv.groups > 1 else ''}conv{conv.k}x{conv.k}"
+    params = conv.weight.size + conv.bias.size
+    out_elems = batch * conv.c_out * out_h * out_w
+    flops = (conv.c_in // conv.groups) * conv.k * conv.k * out_elems
     return LayerCost(name, kind, params, flops, out_elems)
-
-
-def _norm_cost(name: str, kind: str, c: int) -> LayerCost:
-    affine = 2 * c if kind in ("layernorm", "batchnorm") else 0
-    return LayerCost(name, kind, affine, 0, 0)
-
-
-def _safm_costs(prefix: str, c: int, variant, h: int, w: int, batch: int) -> list[LayerCost]:
-    recs = []
-    if variant.uses_multi_scale:
-        levels = variant.pyramid_levels()
-        part = c // len(levels)
-        for i, level in enumerate(levels):
-            ph, pw = h // 2**level, w // 2**level
-            recs.append(
-                _conv_cost(f"{prefix}.mfr.{i}", "dwconv3x3", part, part, 3, part, ph, pw, batch)
-            )
-    else:
-        recs.append(_conv_cost(f"{prefix}.mfr.0", "dwconv3x3", c, c, 3, c, h, w, batch))
-    if variant.uses_aggregation:
-        recs.append(_conv_cost(f"{prefix}.aggr", "conv1x1", c, c, 1, 1, h, w, batch))
-    return recs
-
-
-def _mixer_costs(prefix: str, c: int, mode: str, h: int, w: int, batch: int) -> list[LayerCost]:
-    hidden = c * MIXER_EXPANSION
-    k1 = 1 if mode == "channel-mlp" else 3
-    kind1 = "conv1x1" if k1 == 1 else "conv3x3"
-    recs = [_conv_cost(f"{prefix}.conv1", kind1, c, hidden, k1, 1, h, w, batch)]
-    if mode == "inverted-residual":
-        recs.append(
-            _conv_cost(f"{prefix}.depthwise", "dwconv3x3", hidden, hidden, 3, hidden, h, w, batch)
-        )
-    if mode == "ccm-se":
-        squeezed = hidden // SE_REDUCTION
-        recs.append(_conv_cost(f"{prefix}.se.reduce", "conv1x1", hidden, squeezed, 1, 1, 1, 1, batch))
-        recs.append(_conv_cost(f"{prefix}.se.expand", "conv1x1", squeezed, hidden, 1, 1, 1, 1, batch))
-    recs.append(_conv_cost(f"{prefix}.conv2", "conv1x1", hidden, c, 1, 1, h, w, batch))
-    return recs
 
 
 def profile_model(config: ModelConfig, in_h: int, in_w: int, batch: int = 1) -> ComplexityReport:
     """Per-layer complexity of the configured model at the given LR input size."""
     if in_h < 1 or in_w < 1 or batch < 1:
         raise ConfigError(f"invalid profile resolution {in_h}x{in_w} (batch {batch})")
-    c = config.channels
-    variant = config.variant
-    recs = [_conv_cost("first_conv", "conv3x3", 3, c, 3, 1, in_h, in_w, batch)]
-    for b in range(config.num_blocks):
-        prefix = f"blocks.{b}"
-        if variant.safm != "none":
-            if variant.norm != "none":
-                recs.append(_norm_cost(f"{prefix}.norm1", variant.norm, c))
-            recs.extend(_safm_costs(f"{prefix}.safm", c, variant, in_h, in_w, batch))
-        if variant.mixer != "none":
-            if variant.norm != "none":
-                recs.append(_norm_cost(f"{prefix}.norm2", variant.norm, c))
-            recs.extend(_mixer_costs(f"{prefix}.mixer", c, variant.mixer, in_h, in_w, batch))
-    recs.append(
-        _conv_cost("upsampler", "conv3x3", c, 3 * config.scale**2, 3, 1, in_h, in_w, batch)
-    )
+    out_hw: dict[int, tuple[int, int]] = {}  # id(conv) -> output size where not the input's
+    recs = []
+    # Parents come before their children, so a conv's size is known when it is reached.
+    for name, m in SafmnModel(config).named_modules():
+        if isinstance(m, SAFM):
+            for conv, level in zip(m.mfr, m.levels):
+                out_hw[id(conv)] = (in_h // 2**level, in_w // 2**level)
+        elif isinstance(m, SqueezeExcite):
+            out_hw.update({id(m.reduce): (1, 1), id(m.expand): (1, 1)})
+        elif isinstance(m, Conv2d):
+            recs.append(_conv_cost(name, m, *out_hw.get(id(m), (in_h, in_w)), batch))
+        elif isinstance(m, Norm):
+            recs.append(LayerCost(name, m.kind, sum(p.size for _, p in m.named_parameters()), 0, 0))
     return ComplexityReport(recs, (in_h, in_w), batch)
 
 
@@ -125,7 +88,7 @@ def config_of(model_or_config: SafmnModel | ModelConfig) -> ModelConfig:
 
 
 def count_params(model_or_config: SafmnModel | ModelConfig) -> int:
-    """Total trainable scalar count, computed symbolically."""
+    """Total trainable scalar count."""
     return profile_model(config_of(model_or_config), 1, 1).total_params
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chart import make_chart
+from malformed import DEFECTS, write_malformed_checkpoint
 from safmn.checkpoint import read_checkpoint, save_checkpoint
 from safmn.cli import main
 from safmn.imaging.png import ImageBuffer, decode_png, encode_png
@@ -227,6 +228,19 @@ class TestInferAndEval:
         assert not out.exists()
         assert "upsampler.bias" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_malformed_checkpoint_exits_2_without_output(self, tmp_path, capsys, defect):
+        ckpt = tmp_path / "bad.ckpt"
+        write_malformed_checkpoint(ckpt, defect)
+        lr_dir = tmp_path / "lr"
+        lr_dir.mkdir()
+        _write_chart(lr_dir / "img.png", 16, 0)
+        out = tmp_path / "sr"
+        assert main(["infer", "--checkpoint", str(ckpt), "--lr-dir", str(lr_dir), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:") and "byte offset" in captured.err
+
     def test_scale_mismatch_exits_2(self, tmp_path):
         ckpt = self._checkpoint(tmp_path, scale=2)
         lr_dir = tmp_path / "lr"
@@ -268,3 +282,35 @@ class TestInferAndEval:
         _write_chart(sr_dir / "zz.png", 64, 2)
         assert main(["eval", "--sr-dir", str(sr_dir), "--hr-dir", str(hr_dir)]) == 2
         assert "zz" in capsys.readouterr().err
+
+
+class TestDirectoryArguments:
+    @pytest.mark.parametrize("command", ["degrade", "infer", "eval"])
+    def test_directory_named_png_is_not_an_image(self, hr_dir, tmp_path, capsys, command):
+        (hr_dir / "x.png").mkdir()
+        out = tmp_path / "out"
+        if command == "degrade":
+            argv = ["degrade", "--scale", "2", "--hr-dir", str(hr_dir), "--out-dir", str(out)]
+        elif command == "infer":
+            ckpt = tmp_path / "m.ckpt"
+            save_checkpoint(init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0), ckpt)
+            argv = ["infer", "--checkpoint", str(ckpt), "--lr-dir", str(hr_dir), "--out-dir", str(out)]
+        else:
+            argv = ["eval", "--sr-dir", str(hr_dir), "--hr-dir", str(hr_dir)]
+        assert main(argv) == 0
+        if command == "eval":
+            rows = capsys.readouterr().out.splitlines()[2:]
+            assert [row.split(",")[0] for row in rows] == ["a", "b", "mean"]
+        else:
+            assert sorted(p.name for p in out.iterdir()) == ["a.png", "b.png"]
+
+    def test_infer_input_naming_a_directory_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0), ckpt)
+        (tmp_path / "lr.png").mkdir()
+        out = tmp_path / "sr"
+        rc = main(["infer", "--checkpoint", str(ckpt), "--input", str(tmp_path / "lr.png"), "--out-dir", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert not any(out.iterdir())

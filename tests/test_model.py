@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from malformed import DEFECTS, write_malformed_checkpoint
 from safmn.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from safmn.errors import ConfigError, DimensionError, FormatError
 from safmn.model import (
@@ -16,6 +17,26 @@ from safmn.model import (
 )
 from safmn.optim import Adam
 from safmn.tensor import Tensor
+
+
+def _wb(prefix):
+    return [f"{prefix}.weight", f"{prefix}.bias"]
+
+
+_NORM1 = ["norm1.gamma", "norm1.beta"]
+_NORM2 = ["norm2.gamma", "norm2.beta"]
+_SAFM = [n for i in range(4) for n in _wb(f"safm.mfr.{i}")] + _wb("safm.aggr")
+# Parameter names of one block, per variant.
+BLOCK_PARAMS = {
+    "baseline": _NORM1 + _SAFM + _NORM2 + _wb("mixer.conv1") + _wb("mixer.conv2"),
+    "ccm-se": _NORM1 + _SAFM + _NORM2 + _wb("mixer.conv1") + _wb("mixer.se.reduce")
+    + _wb("mixer.se.expand") + _wb("mixer.conv2"),
+    "ccm-inverted-residual": _NORM1 + _SAFM + _NORM2 + _wb("mixer.conv1") + _wb("mixer.depthwise")
+    + _wb("mixer.conv2"),
+    "norm-bn": _NORM1 + _SAFM + _NORM2 + _wb("mixer.conv1") + _wb("mixer.conv2"),
+    "norm-l2": _SAFM + _wb("mixer.conv1") + _wb("mixer.conv2"),
+    "no-safm": _NORM2 + _wb("mixer.conv1") + _wb("mixer.conv2"),
+}
 
 
 class TestVariantSpec:
@@ -157,6 +178,13 @@ class TestSafmnModel:
         assert names[-1] == "upsampler.bias"
         assert names == [n for n, _ in model.named_parameters()]
 
+    @pytest.mark.parametrize("name", sorted(BLOCK_PARAMS))
+    def test_parameter_names_are_pinned(self, name):
+        # The checkpoint format stores these names in this order.
+        model = SafmnModel(ModelConfig(num_blocks=1, channels=8, scale=2, variant=VARIANTS[name]))
+        expected = _wb("first_conv") + [f"blocks.0.{n}" for n in BLOCK_PARAMS[name]] + _wb("upsampler")
+        assert [n for n, _ in model.named_parameters()] == expected
+
     def test_forward_is_pure(self):
         model = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=4)
         x = Tensor(np.random.default_rng(1).random((1, 3, 8, 8)))
@@ -293,6 +321,14 @@ class TestCheckpoint:
         save_checkpoint(model, path, optimizer=opt)
         with pytest.raises(FormatError, match="first_conv.weight second moment holds non-finite"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_malformed_checkpoint_raises_format_error_at_offset(self, tmp_path, defect):
+        path = tmp_path / "m.ckpt"
+        offset = write_malformed_checkpoint(path, defect)
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == offset
 
     def test_truncation_reports_offset(self, tmp_path):
         model = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0)

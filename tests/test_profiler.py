@@ -66,6 +66,9 @@ class TestParams:
         enumerated = sum(p.size for _, p in model.named_parameters())
         assert count_params(cfg) == enumerated
         assert count_params(model) == enumerated
+        # One row per parameter-owning layer, named by its parameter prefix.
+        prefixes = list(dict.fromkeys(n.rpartition(".")[0] for n, _ in model.named_parameters()))
+        assert [r.name for r in profile_model(cfg, 1, 1).layers if r.params] == prefixes
 
     def test_small_config_oracle(self):
         cfg = ModelConfig(num_blocks=2, channels=8, scale=2)
@@ -83,6 +86,21 @@ class TestFlopsActs:
         report = profile_model(X4, 180, 320)
         aggr = [r for r in report.layers if r.name == "blocks.0.safm.aggr"][0]
         assert aggr.flops == 36 * 36 * 57600 == 74_649_600
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_rows_at_their_evaluation_resolution(self, batch):
+        se = profile_model(ModelConfig(scale=4, variant=VARIANTS["ccm-se"]), 180, 320, batch)
+        rows = {r.name: r for r in se.layers}
+        for b in range(8):
+            # squeeze-excite runs on the globally pooled 1x1 map: 72 -> 18 -> 72
+            assert rows[f"blocks.{b}.mixer.se.reduce"].flops == 72 * 18 * batch
+            assert rows[f"blocks.{b}.mixer.se.expand"].flops == 18 * 72 * batch
+        rows = {r.name: r for r in profile_model(X4, 180, 320, batch).layers}
+        for b in range(8):
+            for i, (h, w) in enumerate([(180, 320), (90, 160), (45, 80), (22, 40)]):
+                pyramid = rows[f"blocks.{b}.safm.mfr.{i}"]
+                assert pyramid.acts == batch * 9 * h * w  # 36 channels split four ways
+                assert pyramid.flops == 9 * pyramid.acts  # depthwise 3x3
 
     @pytest.mark.parametrize("name", sorted(TABLE))
     def test_variant_acts_within_tolerance(self, name):
