@@ -142,6 +142,28 @@ def save_checkpoint(
         raise
 
 
+def _check_config_sizes(config: ModelConfig, params: dict[str, np.ndarray], offset: int) -> None:
+    # The config's size fields decide what building the model allocates, so
+    # they must agree with the stored records before a model is built: channels
+    # and scale with the stem and upsampler weights, num_blocks with the
+    # ``blocks.<i>`` indices, which must run from 0 without a gap.
+    first = params.get("first_conv.weight", np.empty(()))
+    up = params.get("upsampler.weight", np.empty(()))
+    blocks = {name.split(".")[1] for name in params if name.startswith("blocks.")}
+    if first.shape[:1] != (config.channels,):
+        field = "channels"
+    elif up.shape[:1] != (3 * config.scale**2,):
+        field = "scale"
+    elif len(blocks) != config.num_blocks or blocks != {str(i) for i in range(len(blocks))}:
+        field = "num_blocks"
+    else:
+        return
+    raise FormatError(
+        f"embedded config {field}={getattr(config, field)} does not match the stored parameters",
+        offset,
+    )
+
+
 def read_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint file into its raw contents."""
     with open(path, "rb") as fh:
@@ -175,6 +197,7 @@ def read_checkpoint(path) -> Checkpoint:
         dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim, f"{name} dims"))
         params[name] = _read_array(r, f"{name} data", dims)
         order.append(name)
+    _check_config_sizes(config, params, cfg_start)
     opt_step = None
     opt_moments = None
     if r.u8("optimizer flag"):

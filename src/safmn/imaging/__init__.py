@@ -3,7 +3,7 @@
 from .png import ImageBuffer, decode_png, encode_png
 from .resize import bicubic_resize
 from .metrics import psnr_y, rgb_to_y, ssim_y
-from .sampler import PatchSampler, dihedral_transform, sample_batch
+from .sampler import PatchSampler, dihedral_transform
 
 __all__ = [
     "ImageBuffer",
@@ -14,6 +14,5 @@ __all__ = [
     "encode_png",
     "psnr_y",
     "rgb_to_y",
-    "sample_batch",
     "ssim_y",
 ]

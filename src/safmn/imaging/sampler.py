@@ -11,7 +11,6 @@ import numpy as np
 
 from ..errors import DataError, DimensionError
 from ..tensor import Tensor
-from .resize import bicubic_resize
 
 
 def dihedral_transform(planes: np.ndarray, index: int) -> np.ndarray:
@@ -77,17 +76,3 @@ class PatchSampler:
             hr_batch[b] = dihedral_transform(hr_patch, t)
         return Tensor(lr_batch), Tensor(hr_batch)
 
-
-def sample_batch(
-    hr_planes: np.ndarray,
-    scale: int,
-    sampler: PatchSampler,
-    lr_planes: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Sample a batch from an HR image, degrading to LR if not provided."""
-    _, hh, hw = hr_planes.shape
-    if hh % scale or hw % scale:
-        raise DataError(f"HR size {hw}x{hh} not divisible by scale {scale}")
-    if lr_planes is None:
-        lr_planes = bicubic_resize(hr_planes, hh // scale, hw // scale)
-    return sampler.sample(lr_planes, hr_planes, scale)

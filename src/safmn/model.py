@@ -60,6 +60,8 @@ class VariantSpec:
             raise ConfigError(f"unknown mixer mode {self.mixer!r}; expected one of {MIXER_MODES}")
         if self.norm not in NORM_MODES:
             raise ConfigError(f"unknown norm mode {self.norm!r}; expected one of {NORM_MODES}")
+        if self.safm == "none" and self.mixer == "none":
+            raise ConfigError("safm and mixer cannot both be 'none': every block would be empty")
         ds = tuple(sorted(set(self.drop_scales)))
         if any(s not in (2, 4, 8) for s in ds):
             raise ConfigError(f"drop_scales must be a subset of (2, 4, 8), got {self.drop_scales}")
@@ -154,14 +156,7 @@ class ModelConfig:
             num_blocks=int(d["num_blocks"]),
             channels=int(d["channels"]),
             scale=int(d["scale"]),
-            variant=VariantSpec(
-                safm=v.get("safm", "full"),
-                pool=v.get("pool", "max"),
-                attn=v.get("attn", "gelu"),
-                mixer=v.get("mixer", "ccm"),
-                norm=v.get("norm", "layernorm"),
-                drop_scales=tuple(v.get("drop_scales", ())),
-            ),
+            variant=VariantSpec(**{**v, "drop_scales": tuple(v.get("drop_scales", ()))}),
         )
 
 

@@ -6,10 +6,13 @@ channel-wise normalizations, and channel split/concat.  Each kernel is a pure
 function; the backward closure captures only what the analytic
 vector-Jacobian product needs.
 
-Dense convolution runs as shifted GEMMs on the NCHW layout: every kernel tap
-is one batched matrix product over the input channels, and the taps are
-accumulated row-major into one output buffer.  A 1x1 kernel without padding
-is a single such product on the input itself, with no copy.
+Both convolution kinds run on one shifted layout: the zero-padded input is
+flattened per channel, every kernel tap reads a window of it at a fixed
+offset, and the taps are accumulated row-major into one output buffer.  A
+dense tap is one batched matrix product over the input channels, a depthwise
+tap one per-channel multiply.  A 1x1 kernel without padding reads the input
+itself, with no copy.  LayerNorm and BatchNorm share one standardization
+kernel and differ only in the axes their statistics reduce over.
 """
 from __future__ import annotations
 
@@ -84,11 +87,7 @@ def conv2d(
     if oh <= 0 or ow <= 0:
         raise DimensionError(f"conv2d: output would be empty for input {h}x{w}")
 
-    if depthwise:
-        out, backward = _depthwise_conv(x, weight, padding, oh, ow)
-    else:
-        out, backward = _dense_conv(x, weight, padding, oh, ow)
-
+    out, backward = _shifted_conv(x, weight, padding, oh, ow, depthwise)
     if bias is None:
         return make_result(out, (x, weight), backward)
 
@@ -101,58 +100,31 @@ def conv2d(
     return make_result(out, (x, weight, bias), backward_with_bias)
 
 
-def _pad_input(x_data: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return x_data
-    n, c, h, w = x_data.shape
-    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x_data.dtype)
-    out[:, :, padding : padding + h, padding : padding + w] = x_data
-    return out
-
-
-def _depthwise_conv(x, weight, padding, oh, ow):
-    # One filter per channel: accumulate the k*k taps as shifted broadcasts.
-    # Each tap product goes into one reused scratch buffer.
-    n, c, h, w = x.data.shape
-    _, _, kh, kw = weight.data.shape
-    xp = _pad_input(x.data, padding)
-    w_data = weight.data[:, 0]  # (c, kh, kw)
-    out = np.zeros((n, c, oh, ow), dtype=x.data.dtype)
-    prod = np.empty((n, c, oh, ow), dtype=np.result_type(xp, w_data))
-    for di in range(kh):
-        for dj in range(kw):
-            tap = xp[:, :, di : di + oh, dj : dj + ow]
-            out += np.multiply(tap, w_data[None, :, di, dj, None, None], out=prod)
-
-    def backward(g):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(weight.data)
-        gprod = np.empty(g.shape, dtype=np.result_type(g, xp, w_data))
-        for di in range(kh):
-            for dj in range(kw):
-                tap = xp[:, :, di : di + oh, dj : dj + ow]
-                dw[:, 0, di, dj] = np.multiply(g, tap, out=gprod).sum(axis=(0, 2, 3))
-                dxp[:, :, di : di + oh, dj : dj + ow] += np.multiply(
-                    g, w_data[None, :, di, dj, None, None], out=gprod
-                )
-        dx = dxp if padding == 0 else dxp[:, :, padding:-padding, padding:-padding]
-        return dx, dw
-
-    return out, backward
-
-
-def _dense_conv(x, weight, padding, oh, ow):
+def _shifted_conv(x, weight, padding, oh, ow, depthwise):
     # The zero-padded input is flattened per channel to one row of hp*wp + kw - 1
     # values.  Output pixel (i, j) at padded width wp then reads tap (di, dj)
-    # at flat index i*wp + j + di*wp + dj, so each tap is one batched GEMM over
-    # a shifted window of oh*wp columns; the wp - ow columns per row that wrap
-    # into the next row are cropped at the end.
+    # at flat index i*wp + j + di*wp + dj, so each tap is one product over a
+    # shifted window of oh*wp columns; the wp - ow columns per row that wrap
+    # into the next row are cropped at the end.  A dense tap is a (c_out, c_in)
+    # matrix applied by a batched GEMM, a depthwise tap a (c, 1) column applied
+    # by a broadcast multiply, which is its own transpose.
     n, c_in, h, w = x.data.shape
     c_out, _, kh, kw = weight.data.shape
     hp, wp = h + 2 * padding, w + 2 * padding
     span = oh * wp
     offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
-    taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(kh * kw, c_out, c_in)
+    taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(kh * kw, c_out, -1)
+    if depthwise:
+        product, taps_t = np.multiply, taps
+
+        def tap_grad(gp, xs):
+            return np.multiply(gp, xs).sum(axis=(0, 2))[:, None]
+    else:
+        product, taps_t = np.matmul, taps.transpose(0, 2, 1)
+
+        def tap_grad(gp, xs):
+            return np.matmul(gp, xs.transpose(0, 2, 1)).sum(axis=0)
+
     if padding == 0 and kw == 1:
         xp = x.data.reshape(n, c_in, h * w)  # already in the flattened layout
     else:
@@ -161,11 +133,11 @@ def _dense_conv(x, weight, padding, oh, ow):
             :, :, padding : padding + h, padding : padding + w
         ] = x.data
 
-    out = np.matmul(taps[0], xp[:, :, :span])
+    out = product(taps[0], xp[:, :, :span])
     prod = np.empty_like(out) if len(offsets) > 1 else None
     for t in range(1, len(offsets)):
         off = offsets[t]
-        out += np.matmul(taps[t], xp[:, :, off : off + span], out=prod)
+        out += product(taps[t], xp[:, :, off : off + span], out=prod)
     out = out.reshape(n, c_out, oh, wp)[:, :, :, :ow]
 
     def backward(g):
@@ -175,20 +147,17 @@ def _dense_conv(x, weight, padding, oh, ow):
             gp = np.zeros((n, c_out, oh, wp), dtype=g.dtype)
             gp[:, :, :, :ow] = g
             gp = gp.reshape(n, c_out, span)
-        dw = np.stack([
-            np.matmul(gp, xp[:, :, off : off + span].transpose(0, 2, 1)).sum(axis=0)
-            for off in offsets
-        ])
+        dw = np.stack([tap_grad(gp, xp[:, :, off : off + span]) for off in offsets])
         if len(offsets) == 1:
-            dxp = np.matmul(taps[0].T, gp)
+            dxp = product(taps_t[0], gp)
         else:
             dxp = np.zeros(xp.shape, dtype=np.result_type(taps, gp))
             prod = np.empty((n, c_in, span), dtype=dxp.dtype)
             for t, off in enumerate(offsets):
-                dxp[:, :, off : off + span] += np.matmul(taps[t].T, gp, out=prod)
+                dxp[:, :, off : off + span] += product(taps_t[t], gp, out=prod)
         dx = dxp[:, :, : hp * wp].reshape(n, c_in, hp, wp)
         dx = dx[:, :, padding : padding + h, padding : padding + w]
-        return dx, dw.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1)
+        return dx, dw.reshape(kh, kw, c_out, -1).transpose(2, 3, 0, 1)
 
     return np.ascontiguousarray(out), backward
 
@@ -367,50 +336,36 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
 
     Uses population variance; learned scale/shift are per channel.
     """
-    n, c, h, w = x.data.shape
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise DimensionError(f"layer_norm_channels: affine params must have shape ({c},)")
-    if eps <= 0:
-        raise ValueError("layer_norm_channels: eps must be positive")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    g4 = gamma.data[None, :, None, None]
-    out = g4 * xhat + beta.data[None, :, None, None]
-
-    def backward(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
-        dbeta = g.sum(axis=(0, 2, 3))
-        dxhat = g * g4
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgamma, dbeta
-
-    return make_result(out, (x, gamma, beta), backward)
+    return _standardize(x, gamma, beta, eps, (1,))
 
 
 def batch_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-channel normalization with batch statistics (always batch-stat mode)."""
+    return _standardize(x, gamma, beta, eps, (0, 2, 3))
+
+
+def _standardize(x, gamma, beta, eps, axes):
+    # Subtract the mean and divide by the population standard deviation over
+    # ``axes``, then apply the per-channel affine gamma * xhat + beta.
     n, c, h, w = x.data.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise DimensionError(f"batch_norm_channels: affine params must have shape ({c},)")
-    mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.data.var(axis=(0, 2, 3), keepdims=True)
+        raise DimensionError(f"channel norm: affine params must have shape ({c},)")
+    if eps <= 0:
+        raise ValueError("channel norm: eps must be positive")
+    mu = x.data.mean(axis=axes, keepdims=True)
+    var = x.data.var(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     g4 = gamma.data[None, :, None, None]
     out = g4 * xhat + beta.data[None, :, None, None]
-    m = n * h * w
 
     def backward(g):
         dgamma = (g * xhat).sum(axis=(0, 2, 3))
         dbeta = g.sum(axis=(0, 2, 3))
         dxhat = g * g4
-        s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True) / m
-        s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True) / m
-        dx = inv * (dxhat - s1 - xhat * s2)
+        m1 = dxhat.mean(axis=axes, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
+        dx = inv * (dxhat - m1 - xhat * m2)
         return dx, dgamma, dbeta
 
     return make_result(out, (x, gamma, beta), backward)

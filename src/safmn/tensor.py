@@ -52,10 +52,6 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 # Backward functions receive the output gradient and return one gradient
 # array (or None) per parent, in the order the parents were recorded.
 BackwardFn = Callable[[np.ndarray], Sequence[np.ndarray | None]]
@@ -94,12 +90,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -175,15 +165,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return g, g
 
     return make_result(a.data + b.data, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-
-    def backward(g):
-        return g, -g
-
-    return make_result(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -7,7 +7,17 @@ from safmn.model import ModelConfig, init_model
 from safmn.optim import Adam
 
 CONFIG_START = 10  # magic (4) + version (2) + config length (4)
-DEFECTS = ("config-list", "variant-string", "drop-scales-int", "name-not-utf8", "moment-one-short")
+DEFECTS = (
+    "config-list",
+    "variant-string",
+    "drop-scales-int",
+    "variant-unknown-key",
+    "config-oversized",
+    "num-blocks-mismatch",
+    "scale-mismatch",
+    "name-not-utf8",
+    "moment-one-short",
+)
 
 
 def write_malformed_checkpoint(path, defect: str) -> int:
@@ -35,6 +45,14 @@ def write_malformed_checkpoint(path, defect: str) -> int:
         cfg["variant"] = "baseline"
     elif defect == "drop-scales-int":
         cfg["variant"]["drop_scales"] = 5
+    elif defect == "variant-unknown-key":
+        cfg["variant"]["window"] = 7
+    elif defect == "config-oversized":
+        cfg["num_blocks"], cfg["channels"] = 200, 36
+    elif defect == "num-blocks-mismatch":
+        cfg["num_blocks"] = 2
+    elif defect == "scale-mismatch":
+        cfg["scale"] = 3
     else:
         raise ValueError(f"unknown defect {defect!r}")
     new = json.dumps(cfg).encode()

@@ -62,6 +62,15 @@ def test_conv2d_1x1_batch3_nonsquare(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_conv2d_depthwise_unpadded(seed):
+    rng = np.random.default_rng(1700 + seed)
+    x = rand_tensor(rng, (3, 4, 5, 7))
+    w = rand_tensor(rng, (4, 1, 3, 3), scale=0.4)
+    b = rand_tensor(rng, (4,), scale=0.2)
+    check_grads_against_fd(lambda x, w, b: ops.conv2d(x, w, b, 1, 0, 4), [x, w, b], rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_adaptive_max_pool(seed):
     rng = np.random.default_rng(400 + seed)
     x = rand_tensor(rng, (2, 3, 6, 6))

@@ -10,7 +10,7 @@ from safmn.errors import DataError, DecodeError, DimensionError, UnsupportedForm
 from safmn.imaging.metrics import psnr_y, rgb_to_y, ssim_y
 from safmn.imaging.png import ImageBuffer, decode_png, encode_png
 from safmn.imaging.resize import bicubic_resize, cubic_kernel, resize_weights
-from safmn.imaging.sampler import PatchSampler, dihedral_transform, sample_batch
+from safmn.imaging.sampler import PatchSampler, dihedral_transform
 
 
 def _write_reference_png(path, pixels, color_type, bit_depth=8, interlace=0):
@@ -343,8 +343,9 @@ class TestSamplerAndDihedral:
     def test_deterministic_batches(self):
         rng = np.random.default_rng(0)
         hr = rng.random((3, 64, 64))
-        a = sample_batch(hr, 2, PatchSampler(16, 4, seed=5))
-        b = sample_batch(hr, 2, PatchSampler(16, 4, seed=5))
+        lr = bicubic_resize(hr, 32, 32)
+        a = PatchSampler(16, 4, seed=5).sample(lr, hr, 2)
+        b = PatchSampler(16, 4, seed=5).sample(lr, hr, 2)
         np.testing.assert_array_equal(a[0].data, b[0].data)
         np.testing.assert_array_equal(a[1].data, b[1].data)
 
@@ -390,10 +391,12 @@ class TestSamplerAndDihedral:
 
     def test_small_image_rejected(self):
         hr = np.zeros((3, 8, 8))
-        with pytest.raises(DataError):
-            sample_batch(hr, 2, PatchSampler(16, 2, seed=0))
+        lr = bicubic_resize(hr, 4, 4)
+        with pytest.raises(DataError, match="smaller than patch"):
+            PatchSampler(16, 2, seed=0).sample(lr, hr, 2)
 
     def test_hr_not_divisible_rejected(self):
         hr = np.zeros((3, 9, 8))
-        with pytest.raises(DataError):
-            sample_batch(hr, 2, PatchSampler(4, 2, seed=0))
+        lr = bicubic_resize(hr, 4, 4)
+        with pytest.raises(DataError, match="not exactly 2x"):
+            PatchSampler(4, 2, seed=0).sample(lr, hr, 2)

@@ -1,4 +1,6 @@
 """Model assembly: shapes, identities, variants, initialization, checkpoints."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,10 @@ class TestVariantSpec:
     def test_unknown_axis_value(self):
         with pytest.raises(ConfigError):
             VariantSpec(pool="median")
+
+    def test_blocks_without_safm_or_mixer_rejected(self):
+        with pytest.raises(ConfigError, match="both be 'none'"):
+            VariantSpec(safm="none", mixer="none")
 
     def test_drop_scales_needs_pyramid(self):
         with pytest.raises(ConfigError):
@@ -329,6 +335,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as exc:
             load_checkpoint(path)
         assert exc.value.offset == offset
+
+    def test_oversized_config_fails_before_building(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_malformed_checkpoint(path, "config-oversized")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="does not match the stored parameters"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_truncation_reports_offset(self, tmp_path):
         model = init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0)

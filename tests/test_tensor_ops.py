@@ -61,6 +61,9 @@ class TestConv2d:
             ((1, 3, 1, 5), (2, 3, 3, 3), 1, 1, 1),
             ((1, 3, 4, 5), (2, 3, 1, 1), 1, 1, 1),
             ((3, 4, 3, 7), (5, 4, 1, 1), 1, 0, 1),
+            ((1, 3, 1, 5), (3, 1, 3, 3), 1, 1, 3),
+            ((2, 5, 4, 9), (5, 1, 3, 3), 1, 1, 5),
+            ((3, 4, 3, 7), (4, 1, 3, 3), 1, 0, 4),
         ],
     )
     def test_matches_direct_summation(self, shape, wshape, stride, padding, groups):
