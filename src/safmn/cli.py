@@ -63,17 +63,19 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 def _load_config_file(path: str) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        out = {section: dict(parser[section]) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"config file {path!r} not found")
-    out: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
+    for section, values in out.items():
         if section not in _CONFIG_SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
+        for key in values:
             if key not in _CONFIG_SCHEMA[section]:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-        out[section] = dict(parser[section])
     return out
 
 
@@ -119,39 +121,39 @@ def cmd_degrade(args) -> int:
 
 
 def _build_train_config(args, file_cfg: dict[str, dict[str, str]]) -> tuple[ModelConfig, TrainConfig, str]:
-    model_sec = file_cfg.get("model", {})
-    train_sec = file_cfg.get("train", {})
-
     def pick(cli_value, section, key, cast, default):
         if cli_value is not None:
             return cli_value
-        if key in section:
-            raw = section[key]
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+        raw = file_cfg.get(section, {}).get(key)
+        if raw is None:
+            return default
+        if cast is bool:
+            return raw.strip().lower() in ("1", "true", "yes", "on")
+        try:
             return cast(raw)
-        return default
+        except ValueError:
+            raise ConfigError(f"config key {key!r} in section [{section}]: invalid value {raw!r}") from None
 
-    scale = pick(args.scale, model_sec, "scale", int, 2)
-    channels = pick(None, model_sec, "channels", int, 36)
-    blocks = pick(None, model_sec, "blocks", int, 8)
-    variant = variant_by_name(pick(args.variant, model_sec, "variant", str, "baseline"))
+    scale = pick(args.scale, "model", "scale", int, 2)
+    channels = pick(None, "model", "channels", int, 36)
+    blocks = pick(None, "model", "blocks", int, 8)
+    variant = variant_by_name(pick(args.variant, "model", "variant", str, "baseline"))
     model_cfg = ModelConfig(num_blocks=blocks, channels=channels, scale=scale, variant=variant)
 
-    mode = pick(args.mode, train_sec, "mode", str, "test")
+    mode = pick(args.mode, "train", "mode", str, "test")
     if mode not in ("test", "fast"):
         raise ConfigError(f"unknown mode {mode!r}; expected test or fast")
     train_cfg = TrainConfig(
-        iters=pick(args.iters, train_sec, "iters", int, 1000),
-        batch_size=pick(args.batch_size, train_sec, "batch-size", int, 64),
-        patch_size=pick(args.patch_size, train_sec, "patch-size", int, 64),
-        seed=pick(args.seed, train_sec, "seed", int, 0),
-        lr_max=pick(args.lr_max, train_sec, "lr-max", float, 1e-3),
-        lr_min=pick(args.lr_min, train_sec, "lr-min", float, 1e-5),
-        loss=LossConfig(lambda_weight=pick(args.lambda_weight, train_sec, "lambda", float, 0.05)),
-        augment=pick(None, train_sec, "augment", bool, True),
-        log_every=pick(args.log_every, train_sec, "log-every", int, 100),
-        checkpoint_every=pick(args.checkpoint_every, train_sec, "checkpoint-every", int, 0),
+        iters=pick(args.iters, "train", "iters", int, 1000),
+        batch_size=pick(args.batch_size, "train", "batch-size", int, 64),
+        patch_size=pick(args.patch_size, "train", "patch-size", int, 64),
+        seed=pick(args.seed, "train", "seed", int, 0),
+        lr_max=pick(args.lr_max, "train", "lr-max", float, 1e-3),
+        lr_min=pick(args.lr_min, "train", "lr-min", float, 1e-5),
+        loss=LossConfig(lambda_weight=pick(args.lambda_weight, "train", "lambda", float, 0.05)),
+        augment=pick(None, "train", "augment", bool, True),
+        log_every=pick(args.log_every, "train", "log-every", int, 100),
+        checkpoint_every=pick(args.checkpoint_every, "train", "checkpoint-every", int, 0),
     )
     if train_cfg.iters < 1:
         raise ConfigError(f"iters must be >= 1, got {train_cfg.iters}")

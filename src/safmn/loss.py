@@ -7,6 +7,7 @@ of their elements, so the default weight transfers across resolutions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class LossConfig:
     lambda_weight: float = 0.05
 
     def __post_init__(self):
-        if self.lambda_weight < 0:
-            raise ConfigError(f"lambda_weight must be >= 0, got {self.lambda_weight}")
+        if not (math.isfinite(self.lambda_weight) and self.lambda_weight >= 0):
+            raise ConfigError(f"lambda_weight must be finite and >= 0, got {self.lambda_weight}")
 
 
 def _as_array(t) -> np.ndarray:

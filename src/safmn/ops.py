@@ -12,7 +12,10 @@ offset, and the taps are accumulated row-major into one output buffer.  A
 dense tap is one batched matrix product over the input channels, a depthwise
 tap one per-channel multiply.  A 1x1 kernel without padding reads the input
 itself, with no copy.  LayerNorm and BatchNorm share one standardization
-kernel and differ only in the axes their statistics reduce over.
+kernel and differ only in the axes their statistics reduce over.  GELU's
+elementwise chain runs in place over cache-sized blocks of the flattened
+input: evaluated on whole planes, each of its ~20 steps would stream a
+full-size temporary through main memory, which dominated its cost.
 """
 from __future__ import annotations
 
@@ -32,21 +35,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _AS_P = 0.3275911
 _AS_COEFFS = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
 
-
-def _erf_f32(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    t = 1.0 / (1.0 + _AS_P * ax)
-    poly = _AS_COEFFS[4]
-    for c in reversed(_AS_COEFFS[:4]):
-        poly = poly * t + c
-    y = 1.0 - poly * t * np.exp(-ax * ax)
-    return np.copysign(y, x).astype(np.float32, copy=False)
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    if x.dtype == np.float32:
-        return _erf_f32(x)
-    return erf(x)
+# Elements per block of GELU's elementwise chain: a block and its scratch
+# buffers (256 KB each in float32) stay resident in a core's L2 cache.
+_BLOCK = 65536
 
 
 def conv2d(
@@ -311,15 +302,72 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Erf-form GELU: x * Phi(x)."""
-    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
+    """Erf-form GELU: x * Phi(x), with Phi(x) = (1 + erf(x / sqrt 2)) / 2.
+
+    Forward and backward run over the flattened input in blocks of
+    ``_BLOCK`` elements, in place through reused scratch buffers.  Only
+    ``x`` and ``Phi(x)`` are kept for the backward pass.
+    """
     x_data = x.data
+    size = x_data.size
+    xf = x_data.reshape(-1)
+    out = np.empty(x_data.shape, dtype=x_data.dtype)
+    cdf = np.empty(size, dtype=x_data.dtype)
+    of = out.reshape(-1)
+    z, a, t = (np.empty(min(size, _BLOCK), dtype=x_data.dtype) for _ in range(3))
+    for lo in range(0, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        m = hi - lo
+        _normal_cdf(xf[lo:hi], cdf[lo:hi], z[:m], a[:m], t[:m])
+        np.multiply(xf[lo:hi], cdf[lo:hi], out=of[lo:hi])
 
     def backward(g):
-        pdf = np.exp(-0.5 * x_data * x_data) * _INV_SQRT2PI
-        return (g * (cdf + x_data * pdf),)
+        gf = g.reshape(-1)
+        dx = np.empty(g.shape, dtype=np.result_type(g, cdf))
+        df = dx.reshape(-1)
+        s = np.empty(min(size, _BLOCK), dtype=cdf.dtype)
+        for lo in range(0, size, _BLOCK):
+            hi = min(lo + _BLOCK, size)
+            xb, sb = xf[lo:hi], s[: hi - lo]
+            # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi)
+            np.multiply(-0.5, xb, out=sb)
+            sb *= xb
+            np.exp(sb, out=sb)
+            sb *= _INV_SQRT2PI
+            sb *= xb
+            sb += cdf[lo:hi]
+            np.multiply(gf[lo:hi], sb, out=df[lo:hi])
+        return (dx,)
 
-    return make_result(x_data * cdf, (x,), backward)
+    return make_result(out, (x,), backward)
+
+
+def _normal_cdf(x, y, z, a, t):
+    # y = Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) for one block, through the
+    # block-sized scratch z, a, t.  float32 takes the Abramowitz-Stegun erf,
+    # erf(z) = sign(z) * (1 - poly(u) * u * exp(-z^2)), u = 1 / (1 + p|z|);
+    # float64 takes scipy's.
+    np.multiply(x, _INV_SQRT2, out=z)
+    if x.dtype == np.float32:
+        np.abs(z, out=a)
+        np.multiply(_AS_P, a, out=t)
+        np.add(1.0, t, out=t)
+        np.divide(1.0, t, out=t)
+        y.fill(_AS_COEFFS[4])
+        for c in reversed(_AS_COEFFS[:4]):
+            y *= t
+            y += c
+        y *= t
+        np.negative(a, out=t)
+        t *= a
+        np.exp(t, out=t)
+        y *= t
+        np.subtract(1.0, y, out=y)
+        np.copysign(y, z, out=y)
+    else:
+        erf(z, out=y)
+    y += 1.0
+    y *= 0.5
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -71,6 +71,9 @@ class CosineSchedule:
     def __post_init__(self):
         if self.total < 1:
             raise ConfigError(f"schedule length must be >= 1, got {self.total}")
+        for name, value in (("lr_max", self.lr_max), ("lr_min", self.lr_min)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         if self.lr_min > self.lr_max:
             raise ConfigError(f"lr_min {self.lr_min} exceeds lr_max {self.lr_max}")
 

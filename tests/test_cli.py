@@ -136,6 +136,37 @@ class TestTrain:
         rc = main(["train", "--config", str(cfg), "--hr-dir", str(hr_dir), "--out", str(tmp_path / "m.ckpt")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[model]\nscale = abc\n",
+            b"[train]\nlr-max = fast\n",
+            b"scale = 2\n",
+            b"[train]\niters = 2\niters = 3\n",
+            b"[model]\nscale = \xff\xfe2\n",
+        ],
+        ids=["non-integer", "non-float", "no-section-header", "duplicate-key", "not-utf8"],
+    )
+    def test_malformed_config_exits_2(self, hr_dir, tmp_path, capsys, content):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(content)
+        ckpt = tmp_path / "m.ckpt"
+        rc = main(["train", "--config", str(cfg), "--hr-dir", str(hr_dir), "--out", str(ckpt)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not ckpt.exists()
+
+    def test_nan_learning_rate_exits_2_without_checkpoint(self, hr_dir, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        rc = main([
+            "train", "--hr-dir", str(hr_dir), "--out", str(ckpt),
+            "--iters", "2", "--scale", "2", "--batch-size", "2", "--patch-size", "16",
+            "--lr-max", "nan",
+        ])
+        assert rc == 2
+        assert "lr_max" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_200_iter_overfit_halves_loss(self, tmp_path):
         d = tmp_path / "hr"
         d.mkdir()

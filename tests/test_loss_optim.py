@@ -1,4 +1,6 @@
 """Loss values against hand-derived oracles; optimizer and schedule behavior."""
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,11 @@ class TestLoss:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
             LossConfig(lambda_weight=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, value):
+        with pytest.raises(ConfigError):
+            LossConfig(lambda_weight=value)
 
     def test_loss_nonnegative_and_zero_iff_equal(self):
         rng = np.random.default_rng(2)
@@ -197,3 +204,11 @@ class TestCosineSchedule:
             CosineSchedule(total=0)
         with pytest.raises(ConfigError):
             CosineSchedule(lr_max=1e-5, lr_min=1e-3, total=10)
+
+    @pytest.mark.parametrize(
+        "lr_max, lr_min",
+        [(math.nan, 1e-5), (math.inf, 1e-5), (-1e-3, -1e-2), (1e-3, math.nan), (1e-3, -math.inf), (1e-3, -1e-5)],
+    )
+    def test_non_finite_or_negative_rates_rejected(self, lr_max, lr_min):
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            CosineSchedule(lr_max=lr_max, lr_min=lr_min, total=10)

@@ -1,6 +1,9 @@
 """Forward-value oracles and structural invariants for the tensor kernels."""
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from safmn import ops
 from safmn.errors import DimensionError
@@ -274,6 +277,35 @@ class TestActivationsAndNorms:
         assert out[0] == 0.0
         assert abs(out[1] - 10.0) < 1e-9
         assert abs(out[2] - 0.841345) < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gelu_blocks_match_unblocked_chain(self, dtype):
+        # 86,106 elements: two blocks, the second one partial.
+        shape = (2, 3, 113, 127)
+        size = math.prod(shape)
+        assert ops._BLOCK < size < 2 * ops._BLOCK
+        rng = np.random.default_rng(11)
+        x = (rng.standard_normal(shape) * 3).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        # The same expression over the whole array at once.
+        z = x * (1.0 / math.sqrt(2.0))
+        if dtype == np.float32:
+            az = np.abs(z)
+            t = 1.0 / (1.0 + ops._AS_P * az)
+            poly = ops._AS_COEFFS[4]
+            for c in reversed(ops._AS_COEFFS[:4]):
+                poly = poly * t + c
+            erf_z = np.copysign(1.0 - poly * t * np.exp(-az * az), z)
+        else:
+            erf_z = erf(z)
+        cdf = 0.5 * (1.0 + erf_z)
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+
+        y = ops.gelu(Tensor(x, requires_grad=True))
+        (dx,) = y._backward(g)
+        assert y.data.dtype == dx.dtype == dtype
+        np.testing.assert_array_equal(y.data, x * cdf)
+        np.testing.assert_array_equal(dx, g * (cdf + x * pdf))
 
     def test_sigmoid_range(self):
         rng = np.random.default_rng(0)
