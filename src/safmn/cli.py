@@ -20,7 +20,7 @@ from .checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, SafmnError, TrainingError
 from .imaging.metrics import psnr_y, ssim_y
 from .imaging.png import ImageBuffer, decode_png, encode_png
-from .imaging.resize import bicubic_resize
+from .imaging.resize import bicubic_resize, crop_to_scale
 from .loss import LossConfig
 from .model import ModelConfig, variant_by_name
 from .profiler import emit_report, profile_model
@@ -106,15 +106,11 @@ def cmd_degrade(args) -> int:
     for path in paths:
         img = decode_png(path)
         planes = img.to_planes().astype(np.float64)
-        _, h, w = planes.shape
-        h2, w2 = (h // scale) * scale, (w // scale) * scale
-        if h2 < scale or w2 < scale:
-            raise DataError(f"{path.name}: {w}x{h} too small for scale {scale}")
-        if (h2, w2) != (h, w):
-            oy, ox = (h - h2) // 2, (w - w2) // 2
-            planes = planes[:, oy : oy + h2, ox : ox + w2]
+        cropped = crop_to_scale(planes, scale, path.name)
+        _, h2, w2 = cropped.shape
+        if cropped.shape != planes.shape:
             print(f"warning: {path.name} cropped to {w2}x{h2} for divisibility by {scale}", file=sys.stderr)
-        lr = bicubic_resize(planes, h2 // scale, w2 // scale)
+        lr = bicubic_resize(cropped, h2 // scale, w2 // scale)
         encode_png(ImageBuffer.from_planes(np.clip(lr, 0.0, 1.0)), out_dir / path.name)
         print(f"{path.name}: {w2}x{h2} -> {w2 // scale}x{h2 // scale}")
     return EXIT_OK
@@ -155,8 +151,6 @@ def _build_train_config(args, file_cfg: dict[str, dict[str, str]]) -> tuple[Mode
         log_every=pick(args.log_every, "train", "log-every", int, 100),
         checkpoint_every=pick(args.checkpoint_every, "train", "checkpoint-every", int, 0),
     )
-    if train_cfg.iters < 1:
-        raise ConfigError(f"iters must be >= 1, got {train_cfg.iters}")
     return model_cfg, train_cfg, mode
 
 

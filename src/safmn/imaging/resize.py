@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionError
+from ..errors import DataError, DimensionError
 
 _CUBIC_A = -0.5
 
@@ -58,3 +58,16 @@ def bicubic_resize(planes: np.ndarray, out_h: int, out_w: int, antialias: bool =
     rows = np.matmul(wr[None], flat)
     out = np.matmul(rows, wc.T[None])
     return out.reshape(lead + (out_h, out_w))
+
+
+def crop_to_scale(planes: np.ndarray, scale: int, name: str) -> np.ndarray:
+    """Center-crop the last two axes down to multiples of ``scale``.
+
+    Raises DataError, naming ``name``, when a side is shorter than ``scale``.
+    """
+    h, w = planes.shape[-2:]
+    h2, w2 = (h // scale) * scale, (w // scale) * scale
+    if h2 < scale or w2 < scale:
+        raise DataError(f"{name}: {w}x{h} too small for scale {scale}")
+    oy, ox = (h - h2) // 2, (w - w2) // 2
+    return planes[..., oy : oy + h2, ox : ox + w2]

@@ -307,7 +307,7 @@ class SqueezeExcite(Module):
         self.expand = Conv2d(hidden, c, 1)
 
     def __call__(self, x: Tensor) -> Tensor:
-        g = ops.global_avg_pool(x)
+        g = ops.adaptive_avg_pool(x, 1, 1)
         g = ops.gelu(self.reduce(g))
         g = ops.sigmoid(self.expand(g))
         return channel_gate(x, g)

@@ -16,6 +16,15 @@ kernel and differ only in the axes their statistics reduce over.  GELU's
 elementwise chain runs in place over cache-sized blocks of the flattened
 input: evaluated on whole planes, each of its ~20 steps would stream a
 full-size temporary through main memory, which dominated its cost.
+
+Adaptive pooling has one region layout for every input and output size:
+output cell (i, j) covers rows floor(i*h/oh) to ceil((i+1)*h/oh) and the
+matching columns.  Max pooling gathers each region into a row of length K,
+the largest region area, through one flat index array.  A shorter region
+is padded by repeating its last row and column: a repeated element always
+comes after its original in row-major order, so ``argmax`` still picks the
+first maximum of the real region, which is where the gradient goes.
+Average pooling applies one averaging matrix per axis to the same regions.
 """
 from __future__ import annotations
 
@@ -153,16 +162,19 @@ def _shifted_conv(x, weight, padding, oh, ow, depthwise):
     return np.ascontiguousarray(out), backward
 
 
-def _pool_bounds(in_size: int, out_size: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(out_size, dtype=np.int64)
-    starts = (idx * in_size) // out_size
-    ends = -(-((idx + 1) * in_size) // out_size)  # ceil division
-    return starts, ends
-
-
-def _check_pool_size(h, w, out_h, out_w, op):
+def _pool_regions(x, out_h, out_w, op):
+    # Output cell (i, j) reduces rows [rs[i], re[i]) and columns [cs[j], ce[j])
+    # of its input plane: floor start, ceil end, so when a size does not
+    # divide, neighbouring regions overlap by at most one row or column.
+    h, w = x.data.shape[2:]
     if not (1 <= out_h <= h and 1 <= out_w <= w):
         raise DimensionError(f"{op}: output {out_h}x{out_w} invalid for input {h}x{w}")
+
+    def bounds(size, out):
+        idx = np.arange(out, dtype=np.int64)
+        return (idx * size) // out, -(-((idx + 1) * size) // out)
+
+    return bounds(h, out_h), bounds(w, out_w)
 
 
 def adaptive_max_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -172,80 +184,45 @@ def adaptive_max_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
     row-major order.
     """
     n, c, h, w = x.data.shape
-    _check_pool_size(h, w, out_h, out_w, "adaptive_max_pool")
-
-    if h % out_h == 0 and w % out_w == 0:
-        kh, kw = h // out_h, w // out_w
-        blocks = x.data.reshape(n, c, out_h, kh, out_w, kw).transpose(0, 1, 2, 4, 3, 5)
-        flat = np.ascontiguousarray(blocks).reshape(n, c, out_h, out_w, kh * kw)
-        arg = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-
-        def backward(g):
-            dflat = np.zeros((n, c, out_h, out_w, kh * kw), dtype=g.dtype)
-            np.put_along_axis(dflat, arg[..., None], g[..., None], axis=-1)
-            d6 = dflat.reshape(n, c, out_h, out_w, kh, kw).transpose(0, 1, 2, 4, 3, 5)
-            return (d6.reshape(n, c, h, w),)
-
-        return make_result(out, (x,), backward)
-
-    rs, re = _pool_bounds(h, out_h)
-    cs, ce = _pool_bounds(w, out_w)
-    out = np.empty((n, c, out_h, out_w), dtype=x.data.dtype)
-    arg_r = np.empty((n, c, out_h, out_w), dtype=np.int64)
-    arg_c = np.empty_like(arg_r)
-    for i in range(out_h):
-        for j in range(out_w):
-            region = x.data[:, :, rs[i] : re[i], cs[j] : ce[j]]
-            rw = region.shape[3]
-            flat_idx = region.reshape(n, c, -1).argmax(axis=2)
-            out[:, :, i, j] = region.reshape(n, c, -1)[
-                np.arange(n)[:, None], np.arange(c)[None, :], flat_idx
-            ]
-            arg_r[:, :, i, j] = rs[i] + flat_idx // rw
-            arg_c[:, :, i, j] = cs[j] + flat_idx % rw
+    (rs, re), (cs, ce) = _pool_regions(x, out_h, out_w, "adaptive_max_pool")
+    # Flat input index of every region element, (out_h, out_w, kh*kw); a
+    # shorter region repeats its last row and column up to the largest one.
+    kh, kw = int((re - rs).max()), int((ce - cs).max())
+    rows = np.minimum(rs[:, None] + np.arange(kh), re[:, None] - 1)
+    cols = np.minimum(cs[:, None] + np.arange(kw), ce[:, None] - 1)
+    idx = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(out_h, out_w, kh * kw)
+    windows = np.take(x.data.reshape(n, c, h * w), idx, axis=2)
+    arg = windows.argmax(axis=-1)[..., None]
+    out = np.take_along_axis(windows, arg, axis=-1)[..., 0]
 
     def backward(g):
-        dx = np.zeros_like(x.data)
-        nn = np.arange(n)[:, None, None, None]
-        cc = np.arange(c)[None, :, None, None]
-        np.add.at(dx, (nn, cc, arg_r, arg_c), g)
-        return (dx,)
+        # Each cell's gradient goes to the flat index of its maximum; cells
+        # collide only where regions overlap.
+        src = np.take_along_axis(idx[None, None], arg, axis=-1)[..., 0]
+        src = src + np.arange(n * c, dtype=np.int64).reshape(n, c, 1, 1) * (h * w)
+        dx = np.zeros(n * c * h * w, dtype=g.dtype)
+        np.add.at(dx, src.reshape(-1), g.reshape(-1))
+        return (dx.reshape(n, c, h, w),)
 
     return make_result(out, (x,), backward)
 
 
 def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Adaptive average pooling over the same regions as the max variant."""
-    n, c, h, w = x.data.shape
-    _check_pool_size(h, w, out_h, out_w, "adaptive_avg_pool")
+    h, w = x.data.shape[2:]
+    regions = _pool_regions(x, out_h, out_w, "adaptive_avg_pool")
+    # One (out, size) averaging matrix per axis: row i holds 1/len over
+    # region i, so the pool is m_h @ x @ m_w.T and its transpose the backward.
+    def averaging(size, starts, ends):
+        p = np.arange(size)
+        inside = (p >= starts[:, None]) & (p < ends[:, None])
+        return (inside / (ends - starts)[:, None]).astype(x.data.dtype)
 
-    if h % out_h == 0 and w % out_w == 0:
-        kh, kw = h // out_h, w // out_w
-        out = x.data.reshape(n, c, out_h, kh, out_w, kw).mean(axis=(3, 5))
-
-        def backward(g):
-            dx = np.broadcast_to(
-                g[:, :, :, None, :, None] / (kh * kw), (n, c, out_h, kh, out_w, kw)
-            )
-            return (dx.reshape(n, c, h, w).copy(),)
-
-        return make_result(out, (x,), backward)
-
-    rs, re = _pool_bounds(h, out_h)
-    cs, ce = _pool_bounds(w, out_w)
-    out = np.empty((n, c, out_h, out_w), dtype=x.data.dtype)
-    for i in range(out_h):
-        for j in range(out_w):
-            out[:, :, i, j] = x.data[:, :, rs[i] : re[i], cs[j] : ce[j]].mean(axis=(2, 3))
+    m_h, m_w = (averaging(size, *b) for size, b in zip((h, w), regions))
+    out = m_h @ x.data @ m_w.T
 
     def backward(g):
-        dx = np.zeros_like(x.data)
-        for i in range(out_h):
-            for j in range(out_w):
-                area = (re[i] - rs[i]) * (ce[j] - cs[j])
-                dx[:, :, rs[i] : re[i], cs[j] : ce[j]] += (g[:, :, i, j] / area)[:, :, None, None]
-        return (dx,)
+        return (m_h.T @ g @ m_w,)
 
     return make_result(out, (x,), backward)
 
@@ -479,7 +456,3 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
 
     return make_result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward)
 
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial axes, keeping a (n, c, 1, 1) shape."""
-    return adaptive_avg_pool(x, 1, 1)

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .errors import DataError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .loss import LossConfig, composite_loss
 from .model import ModelConfig, SafmnModel, init_model
 from .optim import Adam, CosineSchedule
-from .imaging.resize import bicubic_resize
+from .imaging.resize import bicubic_resize, crop_to_scale
 from .imaging.sampler import PatchSampler
 
 
@@ -34,6 +34,13 @@ class TrainConfig:
     log_every: int = 100
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
+    def __post_init__(self):
+        if self.iters < 1:
+            raise ConfigError(f"iters must be >= 1, got {self.iters}")
+        for name in ("log_every", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass
 class TrainResult:
@@ -49,12 +56,8 @@ def prepare_pairs(
     """Center-crop HR images to scale divisibility and degrade to LR."""
     pairs = []
     for hr in hr_images:
-        _, h, w = hr.shape
-        h2, w2 = (h // scale) * scale, (w // scale) * scale
-        if h2 < scale or w2 < scale:
-            raise DataError(f"image {w}x{h} too small for scale {scale}")
-        oy, ox = (h - h2) // 2, (w - w2) // 2
-        hr_c = np.ascontiguousarray(hr[:, oy : oy + h2, ox : ox + w2])
+        hr_c = np.ascontiguousarray(crop_to_scale(hr, scale, "image"))
+        _, h2, w2 = hr_c.shape
         lr = bicubic_resize(hr_c, h2 // scale, w2 // scale)
         pairs.append((lr, hr_c))
     return pairs

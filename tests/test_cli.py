@@ -156,6 +156,18 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flag", ["--log-every", "--checkpoint-every"])
+    def test_negative_interval_exits_2_without_checkpoint(self, hr_dir, tmp_path, capsys, flag):
+        ckpt = tmp_path / "m.ckpt"
+        rc = main([
+            "train", "--hr-dir", str(hr_dir), "--out", str(ckpt),
+            "--iters", "3", "--scale", "2", "--batch-size", "2", "--patch-size", "16",
+            flag, "-1",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not ckpt.exists()
+
     def test_nan_learning_rate_exits_2_without_checkpoint(self, hr_dir, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         rc = main([

@@ -74,3 +74,33 @@ def test_fast_conv_tracks_float64(wshape, padding, groups):
         assert f.dtype == np.float32, f"{name} is {f.dtype}"
         rel = np.linalg.norm(f.astype(np.float64) - r) / np.linalg.norm(r)
         assert rel < 1e-5, f"{name}: fast-mode deviation {rel:.2e}"
+
+
+@pytest.mark.parametrize(
+    "pool,shape,out_hw",
+    [
+        ("adaptive_max_pool", (2, 9, 45, 80), (22, 40)),
+        ("adaptive_avg_pool", (2, 9, 45, 80), (22, 40)),
+        ("adaptive_avg_pool", (2, 72, 20, 33), (1, 1)),
+    ],
+    ids=["max", "avg", "global"],
+)
+def test_fast_pool_tracks_float64(pool, shape, out_hw):
+    # Each pool at a model-like shape, the pyramid's non-dividing 1/8 level
+    # and squeeze-excite's global pool: the float32 forward and input
+    # gradient stay float32 and within 1e-5 relative L2 of float64.
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(shape)
+    proj = rng.standard_normal(shape[:2] + out_hw)
+
+    def run(mode, dtype):
+        tmod.set_mode(mode)
+        out = getattr(ops, pool)(Tensor(x.astype(dtype), requires_grad=True), *out_hw)
+        return (out.data, *out._backward(proj.astype(dtype)))
+
+    ref = run("test", np.float64)
+    fast = run("fast", np.float32)
+    for name, f, r in zip(("out", "dx"), fast, ref):
+        assert f.dtype == np.float32, f"{name} is {f.dtype}"
+        rel = np.linalg.norm(f.astype(np.float64) - r) / np.linalg.norm(r)
+        assert rel < 1e-5, f"{name}: fast-mode deviation {rel:.2e}"

@@ -144,16 +144,34 @@ class TestAdaptivePool:
         assert out.data[0, 0, 1, 0] == 9.0
 
     def test_region_oracle_random_sizes(self):
+        # Forward and backward of both pools against a per-region loop.
         rng = np.random.default_rng(5)
-        for h, w, oh, ow in [(7, 5, 3, 2), (10, 10, 4, 7), (6, 9, 6, 4)]:
-            x = rng.standard_normal((2, 3, h, w))
-            out = ops.adaptive_max_pool(Tensor(x), oh, ow)
+        cases = [(7, 5, 3, 2), (10, 10, 4, 7), (6, 9, 6, 4), (9, 7, 4, 3), (180, 4, 22, 4), (7, 5, 1, 1)]
+        inputs = [rng.standard_normal((2, 3, h, w)) for h, w, _, _ in cases]
+        cases.append((7, 5, 3, 2))  # ties on overlapping regions: top-left takes the gradient
+        inputs.append(np.zeros((2, 3, 7, 5)))
+        for (h, w, oh, ow), x in zip(cases, inputs):
+            g = rng.standard_normal((2, 3, oh, ow))
+            xt = Tensor(x, requires_grad=True)
+            mx, avg = ops.adaptive_max_pool(xt, oh, ow), ops.adaptive_avg_pool(xt, oh, ow)
+            (dmax,), (davg,) = mx._backward(g), avg._backward(g)
+            ref_dmax, ref_davg = np.zeros_like(x), np.zeros_like(x)
             for i in range(oh):
                 for j in range(ow):
                     rs, re = (i * h) // oh, -(-((i + 1) * h) // oh)
                     cs, ce = (j * w) // ow, -(-((j + 1) * w) // ow)
-                    ref = x[:, :, rs:re, cs:ce].max(axis=(2, 3))
-                    np.testing.assert_array_equal(out.data[:, :, i, j], ref)
+                    region = x[:, :, rs:re, cs:ce]
+                    np.testing.assert_array_equal(mx.data[:, :, i, j], region.max(axis=(2, 3)))
+                    np.testing.assert_allclose(avg.data[:, :, i, j], region.mean(axis=(2, 3)), rtol=1e-12)
+                    # the first maximum in row-major order takes the gradient
+                    flat = region.reshape(2, 3, -1).argmax(axis=2)
+                    r, c = rs + flat // (ce - cs), cs + flat % (ce - cs)
+                    for b in range(2):
+                        for ch in range(3):
+                            ref_dmax[b, ch, r[b, ch], c[b, ch]] += g[b, ch, i, j]
+                    ref_davg[:, :, rs:re, cs:ce] += (g[:, :, i, j] / region[0, 0].size)[:, :, None, None]
+            np.testing.assert_array_equal(dmax, ref_dmax)
+            np.testing.assert_allclose(davg, ref_davg, rtol=1e-12, atol=1e-15)
 
     def test_never_exceeds_global_max(self):
         rng = np.random.default_rng(11)
