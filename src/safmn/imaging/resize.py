@@ -1,11 +1,11 @@
-"""Separable bicubic resampling with optional antialiasing.
+"""Separable antialiased bicubic resampling.
 
 Uses the Catmull-Rom-style cubic kernel with a = -0.5 and the center-aligned
-coordinate mapping src = (dst + 0.5) / scale - 0.5.  When downscaling with
-antialiasing the kernel support widens by the inverse scale factor (the
-standard degradation used to synthesize LR training data).  Source
-coordinates outside the image clamp to the border, and each output row of
-weights is renormalized so constants are preserved.
+coordinate mapping src = (dst + 0.5) / scale - 0.5.  When downscaling, the
+kernel support widens by the inverse scale factor (the standard degradation
+used to synthesize LR training data).  Source coordinates outside the image
+clamp to the border, and each output row of weights is renormalized so
+constants are preserved.
 """
 from __future__ import annotations
 
@@ -26,12 +26,12 @@ def cubic_kernel(x: np.ndarray) -> np.ndarray:
     return np.where(ax <= 1.0, inner, np.where(ax < 2.0, outer, 0.0))
 
 
-def resize_weights(in_size: int, out_size: int, antialias: bool = True) -> np.ndarray:
+def resize_weights(in_size: int, out_size: int) -> np.ndarray:
     """Dense (out_size, in_size) weight matrix for one separable axis."""
     if out_size < 1:
         raise DimensionError(f"resize target {out_size} must be >= 1")
     scale = out_size / in_size
-    kscale = min(scale, 1.0) if antialias else 1.0
+    kscale = min(scale, 1.0)
     support = 2.0 / kscale
     centers = (np.arange(out_size, dtype=np.float64) + 0.5) / scale - 0.5
     left = np.floor(centers - support).astype(np.int64) + 1
@@ -45,14 +45,14 @@ def resize_weights(in_size: int, out_size: int, antialias: bool = True) -> np.nd
     return mat
 
 
-def bicubic_resize(planes: np.ndarray, out_h: int, out_w: int, antialias: bool = True) -> np.ndarray:
+def bicubic_resize(planes: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize float planes over the last two axes to (out_h, out_w)."""
     planes = np.asarray(planes)
     if planes.ndim < 2:
         raise DimensionError(f"bicubic_resize needs at least 2 dims, got {planes.shape}")
     h, w = planes.shape[-2:]
-    wr = resize_weights(h, out_h, antialias).astype(planes.dtype, copy=False)
-    wc = resize_weights(w, out_w, antialias).astype(planes.dtype, copy=False)
+    wr = resize_weights(h, out_h).astype(planes.dtype, copy=False)
+    wc = resize_weights(w, out_w).astype(planes.dtype, copy=False)
     lead = planes.shape[:-2]
     flat = planes.reshape((-1, h, w))
     rows = np.matmul(wr[None], flat)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, add, channel_gate, default_dtype, mul
+from .tensor import Tensor, add, channel_gate, default_dtype, mul, scale
 
 SAFM_MODES = (
     "full",
@@ -34,6 +34,7 @@ MIXER_MODES = ("ccm", "ccm-se", "channel-mlp", "inverted-residual", "none")
 NORM_MODES = ("layernorm", "none", "batchnorm", "frozen-batchnorm", "l2")
 
 LN_EPS = 1e-6
+BN_EPS = 1e-5
 SE_REDUCTION = 4
 MIXER_EXPANSION = 2
 
@@ -50,16 +51,16 @@ class VariantSpec:
     drop_scales: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.safm not in SAFM_MODES:
-            raise ConfigError(f"unknown safm mode {self.safm!r}; expected one of {SAFM_MODES}")
-        if self.pool not in POOL_MODES:
-            raise ConfigError(f"unknown pool mode {self.pool!r}; expected one of {POOL_MODES}")
-        if self.attn not in ATTN_MODES:
-            raise ConfigError(f"unknown attn mode {self.attn!r}; expected one of {ATTN_MODES}")
-        if self.mixer not in MIXER_MODES:
-            raise ConfigError(f"unknown mixer mode {self.mixer!r}; expected one of {MIXER_MODES}")
-        if self.norm not in NORM_MODES:
-            raise ConfigError(f"unknown norm mode {self.norm!r}; expected one of {NORM_MODES}")
+        for axis, modes in (
+            ("safm", SAFM_MODES),
+            ("pool", POOL_MODES),
+            ("attn", ATTN_MODES),
+            ("mixer", MIXER_MODES),
+            ("norm", NORM_MODES),
+        ):
+            value = getattr(self, axis)
+            if value not in modes:
+                raise ConfigError(f"unknown {axis} mode {value!r}; expected one of {modes}")
         if self.safm == "none" and self.mixer == "none":
             raise ConfigError("safm and mixer cannot both be 'none': every block would be empty")
         ds = tuple(sorted(set(self.drop_scales)))
@@ -141,7 +142,7 @@ class ModelConfig:
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         parts = len(self.variant.pyramid_levels())
-        if self.variant.uses_multi_scale and self.channels % parts:
+        if self.channels % parts:
             raise ConfigError(
                 f"channels={self.channels} not divisible by the {parts}-way pyramid split"
             )
@@ -227,9 +228,9 @@ class Norm(Module):
         if self.kind == "layernorm":
             return ops.layer_norm_channels(x, self.gamma, self.beta, LN_EPS)
         if self.kind == "batchnorm":
-            return ops.batch_norm_channels(x, self.gamma, self.beta)
-        if self.kind == "frozen-batchnorm":
-            return ops.frozen_batch_norm_channels(x)
+            return ops.batch_norm_channels(x, self.gamma, self.beta, BN_EPS)
+        if self.kind == "frozen-batchnorm":  # unit statistics, identity affine
+            return scale(x, 1.0 / math.sqrt(1.0 + BN_EPS))
         return ops.l2_normalize_channels(x)
 
 
@@ -250,18 +251,15 @@ class SAFM(Module):
     Splits channels across a max-pooled pyramid of depthwise convolutions,
     re-assembles with nearest upsampling and a 1x1 aggregation, then gates the
     input with the activated map.  The variant switches prune or swap each
-    stage.
+    stage; a single-scale variant is the pyramid's full-size level alone.
     """
 
     def __init__(self, c: int, variant: VariantSpec):
         self.c = c
         self.variant = variant
         self.levels = variant.pyramid_levels()
-        if variant.uses_multi_scale:
-            part = c // len(self.levels)
-            self.mfr = [Conv2d(part, part, 3, groups=part) for _ in self.levels]
-        else:
-            self.mfr = [Conv2d(c, c, 3, groups=c)]
+        part = c // len(self.levels)
+        self.mfr = [Conv2d(part, part, 3, groups=part) for _ in self.levels]
         self.aggr = Conv2d(c, c, 1) if variant.uses_aggregation else None
 
     def _downsample(self, x: Tensor, ph: int, pw: int) -> Tensor:
@@ -275,23 +273,18 @@ class SAFM(Module):
         n, c, h, w = x.shape
         if c != self.c:
             raise DimensionError(f"SAFM built for {self.c} channels, got {c}")
-        if self.variant.uses_multi_scale:
-            parts = ops.split_channels(x, len(self.levels))
-            feats = []
-            for conv, level, part in zip(self.mfr, self.levels, parts):
-                if level == 0:
-                    feats.append(conv(part))
-                    continue
-                ph, pw = h // 2**level, w // 2**level
-                if ph < 1 or pw < 1:
-                    raise DimensionError(
-                        f"input {h}x{w} too small for a 1/{2**level} pyramid level"
-                    )
-                s = conv(self._downsample(part, ph, pw))
-                feats.append(ops.nearest_resize(s, h, w))
-            y = ops.concat_channels(feats)
-        else:
-            y = self.mfr[0](x)
+        parts = ops.split_channels(x, len(self.levels))
+        feats = []
+        for conv, level, part in zip(self.mfr, self.levels, parts):
+            if level == 0:
+                feats.append(conv(part))
+                continue
+            ph, pw = h // 2**level, w // 2**level
+            if ph < 1 or pw < 1:
+                raise DimensionError(f"input {h}x{w} too small for a 1/{2**level} pyramid level")
+            s = conv(self._downsample(part, ph, pw))
+            feats.append(ops.nearest_resize(s, h, w))
+        y = ops.concat_channels(feats)
         if self.aggr is not None:
             y = self.aggr(y)
         y = _apply_attn(self.variant.attn, y)

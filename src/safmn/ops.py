@@ -17,14 +17,19 @@ elementwise chain runs in place over cache-sized blocks of the flattened
 input: evaluated on whole planes, each of its ~20 steps would stream a
 full-size temporary through main memory, which dominated its cost.
 
+Resampling routes elements through flat indices: a forward is one gather
+from each flattened (h*w) input plane, its backward one scatter-add into a
+zeroed gradient, which sums the cells that share a source.  Nearest
+resizing gathers output (i, j) from input (floor(i*h/oh), floor(j*w/ow)).
 Adaptive pooling has one region layout for every input and output size:
 output cell (i, j) covers rows floor(i*h/oh) to ceil((i+1)*h/oh) and the
 matching columns.  Max pooling gathers each region into a row of length K,
-the largest region area, through one flat index array.  A shorter region
-is padded by repeating its last row and column: a repeated element always
-comes after its original in row-major order, so ``argmax`` still picks the
-first maximum of the real region, which is where the gradient goes.
-Average pooling applies one averaging matrix per axis to the same regions.
+the largest region area.  A shorter region is padded by repeating its last
+row and column: a repeated element always comes after its original in
+row-major order, so ``argmax`` still picks the first maximum of the real
+region, which is where the gradient is scattered.  Average pooling is the
+exception: it applies one averaging matrix per axis to the same regions,
+since two small GEMMs beat gathering and summing K elements per cell.
 """
 from __future__ import annotations
 
@@ -162,6 +167,25 @@ def _shifted_conv(x, weight, padding, oh, ow, depthwise):
     return np.ascontiguousarray(out), backward
 
 
+def _gather(x, idx):
+    # (n, c, *idx.shape): element k of each output plane is element idx[k]
+    # of the matching flattened (h*w) input plane.
+    n, c, h, w = x.shape
+    return np.take(x.reshape(n, c, h * w), idx, axis=2)
+
+
+def _scatter_add(g, src, shape):
+    # The transpose of _gather: g[n, c, i, j] is added into dx at plane index
+    # src[..., i, j].  ``src`` broadcasts to g's shape and is offset per
+    # (n, c) plane, so one 1-D add.at sums colliding entries in row-major
+    # order of g.
+    n, c, h, w = shape
+    plane = np.arange(n * c, dtype=np.int64).reshape(n, c, 1, 1) * (h * w)
+    dx = np.zeros(n * c * h * w, dtype=g.dtype)
+    np.add.at(dx, (plane + src).reshape(-1), g.reshape(-1))
+    return dx.reshape(shape)
+
+
 def _pool_regions(x, out_h, out_w, op):
     # Output cell (i, j) reduces rows [rs[i], re[i]) and columns [cs[j], ce[j])
     # of its input plane: floor start, ceil end, so when a size does not
@@ -183,26 +207,23 @@ def adaptive_max_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
     The gradient routes to the first maximal element of each region in
     row-major order.
     """
-    n, c, h, w = x.data.shape
     (rs, re), (cs, ce) = _pool_regions(x, out_h, out_w, "adaptive_max_pool")
     # Flat input index of every region element, (out_h, out_w, kh*kw); a
     # shorter region repeats its last row and column up to the largest one.
     kh, kw = int((re - rs).max()), int((ce - cs).max())
     rows = np.minimum(rs[:, None] + np.arange(kh), re[:, None] - 1)
     cols = np.minimum(cs[:, None] + np.arange(kw), ce[:, None] - 1)
-    idx = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(out_h, out_w, kh * kw)
-    windows = np.take(x.data.reshape(n, c, h * w), idx, axis=2)
+    shape = x.data.shape
+    idx = rows[:, None, :, None] * shape[3] + cols[None, :, None, :]
+    idx = idx.reshape(out_h, out_w, kh * kw)
+    windows = _gather(x.data, idx)
     arg = windows.argmax(axis=-1)[..., None]
     out = np.take_along_axis(windows, arg, axis=-1)[..., 0]
 
     def backward(g):
-        # Each cell's gradient goes to the flat index of its maximum; cells
-        # collide only where regions overlap.
+        # Each cell's gradient goes to the flat index of its maximum.
         src = np.take_along_axis(idx[None, None], arg, axis=-1)[..., 0]
-        src = src + np.arange(n * c, dtype=np.int64).reshape(n, c, 1, 1) * (h * w)
-        dx = np.zeros(n * c * h * w, dtype=g.dtype)
-        np.add.at(dx, src.reshape(-1), g.reshape(-1))
-        return (dx.reshape(n, c, h, w),)
+        return (_scatter_add(g, src, shape),)
 
     return make_result(out, (x,), backward)
 
@@ -231,28 +252,18 @@ def nearest_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Nearest-neighbour resampling: output (i, j) copies input
     (floor(i*h/out_h), floor(j*w/out_w)).  Handles both up- and downsampling.
     """
-    n, c, h, w = x.data.shape
+    shape = x.data.shape
+    h, w = shape[2:]
     if out_h < 1 or out_w < 1:
         raise DimensionError(f"nearest_resize: output {out_h}x{out_w} invalid")
     src_r = (np.arange(out_h, dtype=np.int64) * h) // out_h
     src_c = (np.arange(out_w, dtype=np.int64) * w) // out_w
-    out = x.data[:, :, src_r[:, None], src_c[None, :]]
+    idx = src_r[:, None] * w + src_c
 
     def backward(g):
-        if out_h >= h and out_w >= w:
-            # Pre-images along each axis are contiguous runs; sum them.
-            rb = (np.arange(h, dtype=np.int64) * out_h + h - 1) // h
-            cb = (np.arange(w, dtype=np.int64) * out_w + w - 1) // w
-            dx = np.add.reduceat(g, rb, axis=2)
-            dx = np.add.reduceat(dx, cb, axis=3)
-            return (np.ascontiguousarray(dx),)
-        dx = np.zeros_like(x.data)
-        flat_idx = (src_r[:, None] * w + src_c[None, :]).ravel()
-        dx2 = dx.reshape(n * c, h * w)
-        np.add.at(dx2, (slice(None), flat_idx), g.reshape(n * c, out_h * out_w))
-        return (dx,)
+        return (_scatter_add(g, idx, shape),)
 
-    return make_result(np.ascontiguousarray(out), (x,), backward)
+    return make_result(_gather(x.data, idx), (x,), backward)
 
 
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
@@ -394,16 +405,6 @@ def _standardize(x, gamma, beta, eps, axes):
         return dx, dgamma, dbeta
 
     return make_result(out, (x, gamma, beta), backward)
-
-
-def frozen_batch_norm_channels(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """BatchNorm with frozen unit statistics and identity affine (no params)."""
-    factor = 1.0 / math.sqrt(1.0 + eps)
-
-    def backward(g):
-        return (g * factor,)
-
-    return make_result(x.data * factor, (x,), backward)
 
 
 def l2_normalize_channels(x: Tensor, eps: float = 1e-12) -> Tensor:

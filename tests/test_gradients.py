@@ -94,6 +94,9 @@ def test_nearest_resize(seed):
     x = rand_tensor(rng, (2, 3, 4, 5))
     check_grads_against_fd(lambda x: ops.nearest_resize(x, 9, 10), [x], rng)
     check_grads_against_fd(lambda x: ops.nearest_resize(x, 2, 3), [x], rng)
+    # up on one axis, down on the other
+    check_grads_against_fd(lambda x: ops.nearest_resize(x, 9, 3), [x], rng)
+    check_grads_against_fd(lambda x: ops.nearest_resize(x, 3, 11), [x], rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -211,16 +211,6 @@ class TestBicubic:
             assert out.min() >= lo - 0.25 * span - 1e-9
             assert out.max() <= hi + 0.25 * span + 1e-9
 
-    def test_antialias_flag_changes_downscale_only(self):
-        rng = np.random.default_rng(2)
-        x = rng.random((1, 16, 16))
-        down_aa = bicubic_resize(x, 8, 8, antialias=True)
-        down_no = bicubic_resize(x, 8, 8, antialias=False)
-        assert not np.allclose(down_aa, down_no)
-        up_aa = bicubic_resize(x, 32, 32, antialias=True)
-        up_no = bicubic_resize(x, 32, 32, antialias=False)
-        np.testing.assert_array_equal(up_aa, up_no)
-
 
 class TestColorAndMetrics:
     def test_rgb_to_y_anchors(self):

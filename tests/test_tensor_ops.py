@@ -254,6 +254,51 @@ class TestNearestResize:
                     out.data[:, :, i, j], x[:, :, (i * 5) // 11, (j * 9) // 4]
                 )
 
+    @pytest.mark.parametrize("out_hw", [(11, 4), (3, 20)])
+    def test_backward_scatter_oracle(self, out_hw):
+        # Each output cell's gradient is added to the input it copies.
+        oh, ow = out_hw
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((1, 2, 5, 9)), requires_grad=True)
+        g = rng.standard_normal((1, 2, oh, ow))
+        (dx,) = ops.nearest_resize(x, oh, ow)._backward(g)
+        ref = np.zeros_like(x.data)
+        for i in range(oh):
+            for j in range(ow):
+                ref[:, :, (i * 5) // oh, (j * 9) // ow] += g[:, :, i, j]
+        np.testing.assert_allclose(dx, ref, rtol=1e-12)
+
+
+class TestLocality:
+    @pytest.mark.parametrize(
+        "op, h, w, oh, ow",
+        [
+            (ops.nearest_resize, 5, 9, 11, 4),
+            (ops.nearest_resize, 7, 6, 3, 13),
+            (ops.adaptive_max_pool, 9, 7, 4, 3),
+            (ops.adaptive_max_pool, 8, 8, 2, 2),
+        ],
+    )
+    def test_one_inf_pixel_reaches_only_its_cells(self, op, h, w, oh, ow):
+        # Nearest copies from (floor(i*h/oh), floor(j*w/ow)); max pooling
+        # reads rows floor(i*h/oh) to ceil((i+1)*h/oh) and likewise columns.
+        pool = op is ops.adaptive_max_pool
+        for r, c in [(0, 0), (h - 1, w - 1), (h // 2, w // 3)]:
+            x = np.zeros((2, 3, h, w))
+            x[1, 2, r, c] = np.inf
+            out = op(Tensor(x), oh, ow).data
+            expected = np.zeros((2, 3, oh, ow), dtype=bool)
+            for i in range(oh):
+                for j in range(ow):
+                    if pool:
+                        rows = range((i * h) // oh, -(-((i + 1) * h) // oh))
+                        cols = range((j * w) // ow, -(-((j + 1) * w) // ow))
+                        expected[1, 2, i, j] = r in rows and c in cols
+                    else:
+                        expected[1, 2, i, j] = ((i * h) // oh, (j * w) // ow) == (r, c)
+            np.testing.assert_array_equal(np.isinf(out), expected)
+            assert np.all(out[~expected] == 0.0)
+
 
 class TestPixelShuffle:
     def test_r1_identity(self):
