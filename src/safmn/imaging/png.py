@@ -4,10 +4,23 @@ Decoding accepts 8-bit grayscale (replicated to 3 channels), RGB, and their
 alpha variants (alpha dropped); palette, interlaced, and non-8-bit files are
 rejected.  Encoding always writes filter-0 truecolor rows at a fixed zlib
 level, so re-encoding the same pixels is byte-identical.
+
+Decoding inflates at most one byte more than the header implies, then
+undoes each row's filter (PNG spec section 9) in uint8, where every
+predictor sum wraps mod 256 as the spec defines:
+
+- None copies the row; Up adds the row above with one ``np.add``.
+- Sub adds the byte one pixel to the left, which is a running sum per
+  channel: one ``np.cumsum`` over the (width, channels) row.
+- Average and Paeth predict from the byte to the left *after* decoding, and
+  their predictor is not a sum, so no cumulative NumPy operation expresses
+  them.  They run as one Python loop per channel over ``bytes`` ints, which
+  keeps the left neighbour in a local and touches no NumPy scalar.
 """
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -54,48 +67,87 @@ class ImageBuffer:
         return cls(quant.transpose(1, 2, 0))
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
+def _average_channel(line: bytes, up: bytes) -> bytearray:
+    # Adds floor((left + up) / 2) to each byte; ``left`` is the byte just
+    # decoded, and 0 before the first pixel, where the prediction is up >> 1.
+    out = bytearray()
+    append = out.append
+    a = 0
+    for d, b in zip(line, up):
+        a = (d + ((a + b) >> 1)) & 0xFF
+        append(a)
+    return out
 
 
-def _unfilter(raw: bytes, width: int, height: int, channels: int) -> np.ndarray:
-    # All predictor arithmetic is mod 256 by definition; work in int32.
-    stride = width * channels
-    if len(raw) != height * (stride + 1):
-        raise DecodeError(
-            f"decompressed size {len(raw)} != expected {height * (stride + 1)}"
-        )
-    out = np.zeros((height, stride), dtype=np.int32)
-    raw_arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1).astype(np.int32)
-    prev = np.zeros(stride, dtype=np.int32)
-    for row in range(height):
-        ftype = raw_arr[row, 0]
-        line = raw_arr[row, 1:].copy()
-        if ftype == 0:
-            pass
-        elif ftype == 2:  # Up
-            line = (line + prev) & 0xFF
-        elif ftype in (1, 3, 4):  # Sub / Average / Paeth: sequential in x
-            for x in range(stride):
-                left = int(line[x - channels]) if x >= channels else 0
-                up = int(prev[x])
-                ul = int(prev[x - channels]) if x >= channels else 0
-                if ftype == 1:
-                    pred = left
-                elif ftype == 3:
-                    pred = (left + up) // 2
-                else:
-                    pred = _paeth(left, up, ul)
-                line[x] = (line[x] + pred) & 0xFF
+def _paeth_channel(line: bytes, up: bytes) -> bytearray:
+    # Paeth picks whichever of left (a), up (b) and upper-left (c) lies
+    # nearest to p = a + b - c, preferring a, then b.  With p expanded,
+    # |p - a| = |b - c| (the previous row alone), |p - b| = |a - c| and
+    # |p - c| = |(a - c) + (b - c)|.  a = c = 0 before the first pixel, where
+    # the prediction is therefore up.
+    out = bytearray()
+    append = out.append
+    a = c = 0
+    for d, b in zip(line, up):
+        sa, sb = a - c, b - c
+        pa = sb if sb >= 0 else -sb
+        pb = sa if sa >= 0 else -sa
+        pc = sa + sb if sa + sb >= 0 else -(sa + sb)
+        if pa <= pb and pa <= pc:
+            a = (d + a) & 0xFF
+        elif pb <= pc:
+            a = (d + b) & 0xFF
         else:
-            raise DecodeError(f"unknown filter type {ftype} on row {row}")
-        out[row] = line
-        prev = line
-    return out.astype(np.uint8).reshape(height, width, channels)
+            a = (d + c) & 0xFF
+        append(a)
+        c = b
+    return out
+
+
+def _inflate(data: bytes, expected: int, path) -> bytes:
+    # Never inflates more than one byte past the size the header implies, so
+    # a small file cannot expand into a large allocation.
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(data, min(expected + 1, sys.maxsize))
+    except zlib.error as exc:
+        raise DecodeError(f"{path}: corrupt image data ({exc})") from exc
+    if len(raw) > expected:
+        raise DecodeError(f"{path}: decompressed size exceeds expected {expected}")
+    if not inflater.eof:
+        raise DecodeError(f"{path}: corrupt image data (incomplete or truncated stream)")
+    if len(raw) != expected:
+        raise DecodeError(f"{path}: decompressed size {len(raw)} != expected {expected}")
+    return raw
+
+
+def _unfilter(raw: bytes, width: int, height: int, channels: int, path) -> np.ndarray:
+    stride = width * channels
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    bad = np.flatnonzero(rows[:, 0] > 4)
+    if bad.size:
+        raise DecodeError(f"{path}: unknown filter type {rows[bad[0], 0]} on row {bad[0]}")
+    # Row 0 of ``buf`` is the zero row above the image, so every row has one
+    # above it; ``out`` views the same bytes.
+    buf = bytearray((height + 1) * stride)
+    out = np.frombuffer(buf, dtype=np.uint8).reshape(height + 1, stride)
+    for y, ftype in enumerate(rows[:, 0].tolist(), 1):
+        line, row = rows[y - 1, 1:], out[y]
+        if ftype == 0:  # None
+            row[:] = line
+        elif ftype == 1:  # Sub
+            np.cumsum(line.reshape(width, channels), axis=0, dtype=np.uint8,
+                      out=row.reshape(width, channels))
+        elif ftype == 2:  # Up
+            np.add(line, out[y - 1], out=row)
+        else:  # Average or Paeth, one channel at a time
+            unfilter = _average_channel if ftype == 3 else _paeth_channel
+            src, dst = (y - 1) * (stride + 1) + 1, y * stride
+            for k in range(channels):
+                buf[dst + k : dst + stride : channels] = unfilter(
+                    raw[src + k : src + stride : channels], buf[dst - stride + k : dst : channels]
+                )
+    return out[1:].reshape(height, width, channels)
 
 
 def decode_png(path) -> ImageBuffer:
@@ -119,6 +171,8 @@ def decode_png(path) -> ImageBuffer:
         if zlib.crc32(ctype + body) & 0xFFFFFFFF != crc:
             raise DecodeError(f"{path}: CRC mismatch in {ctype.decode(errors='replace')} chunk")
         if ctype == b"IHDR":
+            if length != 13:
+                raise DecodeError(f"{path}: IHDR chunk has {length} bytes, expected 13")
             ihdr = struct.unpack(">IIBBBBB", body)
         elif ctype == b"IDAT":
             idat.extend(body)
@@ -142,11 +196,8 @@ def decode_png(path) -> ImageBuffer:
     if width < 1 or height < 1:
         raise DecodeError(f"{path}: empty image {width}x{height}")
     channels = {0: 1, 2: 3, 4: 2, 6: 4}[color_type]
-    try:
-        raw = zlib.decompress(bytes(idat))
-    except zlib.error as exc:
-        raise DecodeError(f"{path}: corrupt image data ({exc})") from exc
-    pixels = _unfilter(raw, width, height, channels)
+    raw = _inflate(idat, height * (width * channels + 1), path)
+    pixels = _unfilter(raw, width, height, channels, path)
     if color_type == 0:
         rgb = np.repeat(pixels, 3, axis=2)
     elif color_type == 2:

@@ -33,8 +33,6 @@ ATTN_MODES = ("gelu", "sigmoid", "none")
 MIXER_MODES = ("ccm", "ccm-se", "channel-mlp", "inverted-residual", "none")
 NORM_MODES = ("layernorm", "none", "batchnorm", "frozen-batchnorm", "l2")
 
-LN_EPS = 1e-6
-BN_EPS = 1e-5
 SE_REDUCTION = 4
 MIXER_EXPANSION = 2
 
@@ -226,11 +224,11 @@ class Norm(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.kind == "layernorm":
-            return ops.layer_norm_channels(x, self.gamma, self.beta, LN_EPS)
+            return ops.layer_norm_channels(x, self.gamma, self.beta)
         if self.kind == "batchnorm":
-            return ops.batch_norm_channels(x, self.gamma, self.beta, BN_EPS)
+            return ops.batch_norm_channels(x, self.gamma, self.beta)
         if self.kind == "frozen-batchnorm":  # unit statistics, identity affine
-            return scale(x, 1.0 / math.sqrt(1.0 + BN_EPS))
+            return scale(x, 1.0 / math.sqrt(1.0 + ops.BN_EPS))
         return ops.l2_normalize_channels(x)
 
 

@@ -53,6 +53,10 @@ _AS_COEFFS = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
 # buffers (256 KB each in float32) stay resident in a core's L2 cache.
 _BLOCK = 65536
 
+# Variance epsilons of the channel norms.
+LN_EPS = 1e-6
+BN_EPS = 1e-5
+
 
 def conv2d(
     x: Tensor,
@@ -367,7 +371,7 @@ def sigmoid(x: Tensor) -> Tensor:
     return make_result(s, (x,), backward)
 
 
-def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
     """LayerNorm over the channel axis at every spatial position.
 
     Uses population variance; learned scale/shift are per channel.
@@ -375,7 +379,7 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     return _standardize(x, gamma, beta, eps, (1,))
 
 
-def batch_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def batch_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = BN_EPS) -> Tensor:
     """Per-channel normalization with batch statistics (always batch-stat mode)."""
     return _standardize(x, gamma, beta, eps, (0, 2, 3))
 
@@ -422,7 +426,10 @@ def l2_normalize_channels(x: Tensor, eps: float = 1e-12) -> Tensor:
 
 
 def split_channels(x: Tensor, parts: int) -> list[Tensor]:
-    """Split into ``parts`` contiguous equal channel ranges."""
+    """Split into ``parts`` contiguous equal channel ranges.
+
+    Each part is a view of ``x``; no kernel writes into its input.
+    """
     n, c, h, w = x.data.shape
     if parts < 1 or c % parts:
         raise DimensionError(f"split_channels: {c} channels not divisible into {parts} parts")
@@ -436,7 +443,7 @@ def split_channels(x: Tensor, parts: int) -> list[Tensor]:
             dx[:, lo : lo + step] = g
             return (dx,)
 
-        outs.append(make_result(x.data[:, lo : lo + step].copy(), (x,), backward))
+        outs.append(make_result(x.data[:, lo : lo + step], (x,), backward))
     return outs
 
 

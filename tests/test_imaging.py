@@ -1,11 +1,13 @@
 """PNG codec, bicubic resampling, color transform, metrics, and sampling."""
 import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+from safmn.cli import main
 from safmn.errors import DataError, DecodeError, DimensionError, UnsupportedFormatError
 from safmn.imaging.metrics import psnr_y, rgb_to_y, ssim_y
 from safmn.imaging.png import ImageBuffer, decode_png, encode_png
@@ -22,18 +24,79 @@ def _write_reference_png(path, pixels, color_type, bit_depth=8, interlace=0):
     for row in range(h):
         body.append(0)
         body.extend(flat[row].tobytes())
+    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, interlace)
+    path.write_bytes(_png_bytes(ihdr, zlib.compress(bytes(body))))
+
+
+def _png_bytes(ihdr: bytes, idat: bytes) -> bytes:
+    """A PNG file of one IHDR, one IDAT and the IEND chunk."""
     def chunk(ctype, data):
         return struct.pack(">I", len(data)) + ctype + data + struct.pack(
             ">I", zlib.crc32(ctype + data) & 0xFFFFFFFF
         )
-    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, interlace)
-    blob = (
-        b"\x89PNG\r\n\x1a\n"
-        + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", zlib.compress(bytes(body)))
-        + chunk(b"IEND", b"")
-    )
-    path.write_bytes(blob)
+    return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b"")
+
+
+def _ihdr(width, height, color_type=2):
+    return struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
+
+
+_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
+
+
+def _unfilter_oracle(raw, width, height, channels):
+    """Per-byte PNG unfiltering (PNG spec section 9) in int32, one pixel at a time."""
+    stride = width * channels
+    out = np.zeros((height, stride), dtype=np.int32)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1).astype(np.int32)
+    prev = np.zeros(stride, dtype=np.int32)
+    for row in range(height):
+        ftype = rows[row, 0]
+        line = rows[row, 1:].copy()
+        for x in range(stride):
+            left = int(line[x - channels]) if x >= channels else 0
+            up = int(prev[x])
+            ul = int(prev[x - channels]) if x >= channels else 0
+            if ftype == 0:
+                pred = 0
+            elif ftype == 1:
+                pred = left
+            elif ftype == 2:
+                pred = up
+            elif ftype == 3:
+                pred = (left + up) // 2
+            else:
+                p = left + up - ul
+                pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
+                pred = left if pa <= pb and pa <= pc else (up if pb <= pc else ul)
+            line[x] = (line[x] + pred) & 0xFF
+        out[row] = line
+        prev = line
+    return out.astype(np.uint8).reshape(height, width, channels)
+
+
+def _filter_rows(pixels, filters):
+    """Filtered image data of (h, w, c) uint8 pixels, row r filtered with filters[r]."""
+    h, w, c = pixels.shape
+    x = pixels.reshape(h, w * c).astype(np.int32)
+    up = np.vstack([np.zeros((1, w * c), dtype=np.int32), x[:-1]])
+    left = np.pad(x, ((0, 0), (c, 0)))[:, : w * c]
+    ul = np.pad(up, ((0, 0), (c, 0)))[:, : w * c]
+    p = left + up - ul
+    pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - ul)
+    paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, ul))
+    preds = (np.zeros_like(x), left, up, (left + up) // 2, paeth)
+    rows = [bytes([f]) + ((x[r] - preds[f][r]) % 256).astype(np.uint8).tobytes()
+            for r, f in enumerate(filters)]
+    return b"".join(rows)
+
+
+def _write_zero_bomb(path, megabytes=64):
+    """A 2x2 RGB header over an IDAT that inflates to ``megabytes`` MB of zeros."""
+    comp = zlib.compressobj(9)
+    block = bytes(1 << 20)
+    idat = b"".join(comp.compress(block) for _ in range(megabytes)) + comp.flush()
+    path.write_bytes(_png_bytes(_ihdr(2, 2), idat))
 
 
 class TestPng:
@@ -133,18 +196,74 @@ class TestPng:
                     pred = left if pa <= pb and pa <= pc else (up if pb <= pc else ul)
                 enc[x] = (line[x] - pred) % 256
             raw.extend(enc.astype(np.uint8).tobytes())
-        def chunk(ctype, data):
-            return struct.pack(">I", len(data)) + ctype + data + struct.pack(
-                ">I", zlib.crc32(ctype + data) & 0xFFFFFFFF
-            )
-        ihdr = struct.pack(">IIBBBBB", 4, 5, 8, 2, 0, 0, 0)
         p = tmp_path / "f.png"
-        p.write_bytes(
-            b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-            + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b"")
-        )
+        p.write_bytes(_png_bytes(_ihdr(4, 5), zlib.compress(bytes(raw))))
         img = decode_png(p)
         np.testing.assert_array_equal(img.data, pixels.astype(np.uint8))
+
+    @pytest.mark.parametrize("content", ["random", "all-0", "all-255", "paeth-ties"])
+    @pytest.mark.parametrize("color_type", [0, 2, 4, 6])
+    def test_unfilter_matches_per_byte_oracle(self, tmp_path, color_type, content):
+        # Five images of five rows, row r of image s filtered with (r + s) % 5,
+        # so every filter type runs on every row, first and last included.
+        rng = np.random.default_rng(color_type)
+        channels = _CHANNELS[color_type]
+        for width in (1, 2, 7):
+            shape = (5, width, channels)
+            pixels = {
+                "random": lambda: rng.integers(0, 256, shape, dtype=np.uint8),
+                "all-0": lambda: np.zeros(shape, dtype=np.uint8),
+                "all-255": lambda: np.full(shape, 255, dtype=np.uint8),
+                # few levels, so Paeth's three distances tie often
+                "paeth-ties": lambda: rng.integers(0, 8, shape, dtype=np.uint8),
+            }[content]()
+            for shift in range(5):
+                raw = _filter_rows(pixels, [(r + shift) % 5 for r in range(5)])
+                p = tmp_path / f"w{width}s{shift}.png"
+                p.write_bytes(_png_bytes(_ihdr(width, 5, color_type), zlib.compress(raw)))
+                want = _unfilter_oracle(raw, width, 5, channels)
+                np.testing.assert_array_equal(want, pixels)
+                got = decode_png(p).data
+                rgb = want[:, :, :3] if channels >= 3 else np.repeat(want[:, :, :1], 3, axis=2)
+                assert got.dtype == np.uint8
+                np.testing.assert_array_equal(got, rgb, err_msg=f"width {width} shift {shift}")
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_unknown_filter_names_row_and_file(self, tmp_path, row):
+        raw = bytearray(_filter_rows(np.zeros((5, 3, 3), dtype=np.uint8), [2] * 5))
+        raw[row * 10] = 5
+        raw[4 * 10] = 255  # a later bad row is not the one named
+        p = tmp_path / "bad.png"
+        p.write_bytes(_png_bytes(_ihdr(3, 5), zlib.compress(bytes(raw))))
+        with pytest.raises(DecodeError, match=rf"bad\.png: unknown filter type 5 on row {row}$"):
+            decode_png(p)
+
+    @pytest.mark.parametrize("size, message", [
+        (4 * 10 - 1, r"short\.png: decompressed size 39 != expected 40$"),
+        (4 * 10 + 1, r"short\.png: decompressed size exceeds expected 40$"),
+    ], ids=["short", "long"])
+    def test_payload_size_must_match_header(self, tmp_path, size, message):
+        p = tmp_path / "short.png"
+        p.write_bytes(_png_bytes(_ihdr(3, 4), zlib.compress(bytes(size))))
+        with pytest.raises(DecodeError, match=message):
+            decode_png(p)
+
+    def test_trailing_bytes_after_zlib_stream_accepted(self, tmp_path):
+        p = tmp_path / "t.png"
+        p.write_bytes(_png_bytes(_ihdr(3, 4), zlib.compress(bytes(40)) + b"junk"))
+        np.testing.assert_array_equal(decode_png(p).data, 0)
+
+    def test_zlib_bomb_decodes_in_bounded_memory(self, tmp_path):
+        p = tmp_path / "bomb.png"
+        _write_zero_bomb(p)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError, match="decompressed size exceeds"):
+                decode_png(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"decode_png peaked at {peak} bytes"
 
     def test_quantization_convention(self):
         planes = np.array([[[0.0]], [[0.4]], [[1.0]]])
@@ -153,6 +272,46 @@ class TestPng:
         over = ImageBuffer.from_planes(np.array([[[-0.2]], [[0.5]], [[1.7]]]))
         # ties round half-to-even: 0.5 * 255 = 127.5 -> 128
         assert tuple(over.data[0, 0]) == (0, 128, 255)
+
+
+
+class TestMalformedPngThroughEval:
+    """`safmn eval` exits 2 with an ``error:`` line on each malformed HR file."""
+
+    @pytest.fixture()
+    def dirs(self, tmp_path):
+        sr, hr = tmp_path / "sr", tmp_path / "hr"
+        sr.mkdir()
+        hr.mkdir()
+        encode_png(ImageBuffer(np.zeros((2, 2, 3), dtype=np.uint8)), sr / "a.png")
+        return sr, hr
+
+    def _eval(self, dirs, capsys):
+        sr, hr = dirs
+        rc = main(["eval", "--sr-dir", str(sr), "--hr-dir", str(hr)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "a.png" in err
+        return err
+
+    def test_short_ihdr(self, dirs, capsys):
+        (dirs[1] / "a.png").write_bytes(_png_bytes(_ihdr(2, 2)[:5], zlib.compress(bytes(14))))
+        assert "a.png: IHDR chunk has 5 bytes, expected 13" in self._eval(dirs, capsys)
+
+    def test_zlib_bomb(self, dirs, capsys):
+        _write_zero_bomb(dirs[1] / "a.png")
+        assert "a.png: decompressed size exceeds expected 14" in self._eval(dirs, capsys)
+
+    @pytest.mark.parametrize("cut", [12, 2], ids=["half-the-pixels", "checksum"])
+    def test_truncated_idat(self, dirs, capsys, cut):
+        # Cutting the 4-byte Adler-32 trailer leaves every pixel byte in place.
+        idat = zlib.compress(np.random.default_rng(0).integers(0, 256, 14, dtype=np.uint8).tobytes())
+        (dirs[1] / "a.png").write_bytes(_png_bytes(_ihdr(2, 2), idat[:-cut]))
+        assert "a.png: corrupt image data (incomplete or truncated stream)" in self._eval(dirs, capsys)
+
+    def test_header_larger_than_any_buffer(self, dirs, capsys):
+        (dirs[1] / "a.png").write_bytes(_png_bytes(_ihdr(0xFFFFFFFF, 0xFFFFFFFF, 6), zlib.compress(bytes(14))))
+        assert "a.png: decompressed size 14 != expected" in self._eval(dirs, capsys)
 
 
 class TestBicubic:

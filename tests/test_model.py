@@ -7,6 +7,7 @@ import pytest
 from malformed import DEFECTS, write_malformed_checkpoint
 from safmn.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from safmn.errors import ConfigError, DimensionError, FormatError
+from safmn.loss import mean_abs_error
 from safmn.model import (
     VARIANTS,
     FMM,
@@ -122,6 +123,20 @@ class TestSafmForward:
         safm = SAFM(8, VariantSpec())
         with pytest.raises(DimensionError):
             safm(Tensor(np.zeros((1, 6, 8, 8))))
+
+    @pytest.mark.parametrize("name", ["baseline", "pool-avg", "pool-nearest", "safm-no-mr"])
+    def test_forward_and_backward_leave_input_unchanged(self, name):
+        # split_channels hands each level a view of x, so no kernel behind it
+        # may write into its input.
+        rng = np.random.default_rng(5)
+        safm = SAFM(8, VARIANTS[name])
+        for _, p in safm.named_parameters("safm"):
+            p.data = rng.standard_normal(p.data.shape)
+        x = Tensor(rng.standard_normal((2, 8, 16, 24)), requires_grad=True)
+        before = x.data.copy()
+        mean_abs_error(safm(x), np.zeros(x.shape)).backward()
+        np.testing.assert_array_equal(x.data, before)
+        assert np.isfinite(x.grad).all()
 
 
 class TestFmmForward:

@@ -420,6 +420,7 @@ class TestSplitConcatElementwise:
         assert [p.shape[1] for p in parts] == [9, 9, 9, 9]
         for k, part in enumerate(parts):
             np.testing.assert_array_equal(part.data, x.data[:, 9 * k : 9 * (k + 1)])
+            assert np.shares_memory(part.data, x.data)
 
     def test_split_indivisible_raises(self):
         with pytest.raises(DimensionError):
