@@ -31,6 +31,8 @@ from ..tensor import default_dtype
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _ZLIB_LEVEL = 6
+# Largest slice of the compressed stream handed to the inflater at once.
+_INFLATE_PIECE = 1 << 16
 
 
 @dataclass
@@ -104,12 +106,20 @@ def _paeth_channel(line: bytes, up: bytes) -> bytearray:
     return out
 
 
-def _inflate(data: bytes, expected: int, path) -> bytes:
+def _inflate(pieces: list, expected: int, path) -> bytearray:
     # Never inflates more than one byte past the size the header implies, so
-    # a small file cannot expand into a large allocation.
+    # a small file cannot expand into a large allocation.  The compressed
+    # stream is fed in slices of at most _INFLATE_PIECE bytes, so what the
+    # inflater copies aside when it stops early is one slice, not the file.
+    limit = min(expected + 1, sys.maxsize)
     inflater = zlib.decompressobj()
+    raw = bytearray()
+    slices = (p[lo : lo + _INFLATE_PIECE] for p in pieces for lo in range(0, len(p), _INFLATE_PIECE))
     try:
-        raw = inflater.decompress(data, min(expected + 1, sys.maxsize))
+        for piece in slices:
+            raw += inflater.decompress(piece, limit - len(raw))
+            if len(raw) >= limit or inflater.eof:
+                break
     except zlib.error as exc:
         raise DecodeError(f"{path}: corrupt image data ({exc})") from exc
     if len(raw) > expected:
@@ -121,7 +131,7 @@ def _inflate(data: bytes, expected: int, path) -> bytes:
     return raw
 
 
-def _unfilter(raw: bytes, width: int, height: int, channels: int, path) -> np.ndarray:
+def _unfilter(raw: bytearray, width: int, height: int, channels: int, path) -> np.ndarray:
     stride = width * channels
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
     bad = np.flatnonzero(rows[:, 0] > 4)
@@ -156,26 +166,29 @@ def decode_png(path) -> ImageBuffer:
         blob = fh.read()
     if blob[:8] != _SIGNATURE:
         raise DecodeError(f"{path}: not a PNG file (bad signature)")
+    # Chunk bodies are views into ``blob``: the compressed stream is held
+    # once, however many IDAT chunks carry it.
+    view = memoryview(blob)
     pos = 8
     ihdr = None
-    idat = bytearray()
+    idat = []
     seen_iend = False
     while pos < len(blob):
         if pos + 8 > len(blob):
             raise DecodeError(f"{path}: truncated chunk header")
-        length, ctype = struct.unpack(">I4s", blob[pos : pos + 8])
-        body = blob[pos + 8 : pos + 8 + length]
-        if len(body) != length or pos + 12 + length > len(blob):
+        length, ctype = struct.unpack_from(">I4s", blob, pos)
+        if pos + 12 + length > len(blob):
             raise DecodeError(f"{path}: truncated {ctype.decode(errors='replace')} chunk")
-        crc = struct.unpack(">I", blob[pos + 8 + length : pos + 12 + length])[0]
-        if zlib.crc32(ctype + body) & 0xFFFFFFFF != crc:
+        body = view[pos + 8 : pos + 8 + length]
+        (crc,) = struct.unpack_from(">I", blob, pos + 8 + length)
+        if zlib.crc32(body, zlib.crc32(ctype)) != crc:
             raise DecodeError(f"{path}: CRC mismatch in {ctype.decode(errors='replace')} chunk")
         if ctype == b"IHDR":
             if length != 13:
                 raise DecodeError(f"{path}: IHDR chunk has {length} bytes, expected 13")
             ihdr = struct.unpack(">IIBBBBB", body)
         elif ctype == b"IDAT":
-            idat.extend(body)
+            idat.append(body)
         elif ctype == b"IEND":
             seen_iend = True
             break
@@ -214,7 +227,7 @@ def _chunk(ctype: bytes, body: bytes) -> bytes:
         struct.pack(">I", len(body))
         + ctype
         + body
-        + struct.pack(">I", zlib.crc32(ctype + body) & 0xFFFFFFFF)
+        + struct.pack(">I", zlib.crc32(body, zlib.crc32(ctype)))
     )
 
 

@@ -30,13 +30,16 @@ row-major order, so ``argmax`` still picks the first maximum of the real
 region, which is where the gradient is scattered.  Average pooling is the
 exception: it applies one averaging matrix per axis to the same regions,
 since two small GEMMs beat gathering and summing K elements per cell.
+
+``scipy.special`` is imported inside the two kernels that use it, float64
+GELU and ``sigmoid``: loading it costs about 0.3 s, which every process
+would otherwise pay whether or not it reaches either kernel.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import DimensionError
 from .tensor import Tensor, make_result
@@ -307,10 +310,13 @@ def gelu(x: Tensor) -> Tensor:
     cdf = np.empty(size, dtype=x_data.dtype)
     of = out.reshape(-1)
     z, a, t = (np.empty(min(size, _BLOCK), dtype=x_data.dtype) for _ in range(3))
+    erf = None
+    if x_data.dtype != np.float32:
+        from scipy.special import erf
     for lo in range(0, size, _BLOCK):
         hi = min(lo + _BLOCK, size)
         m = hi - lo
-        _normal_cdf(xf[lo:hi], cdf[lo:hi], z[:m], a[:m], t[:m])
+        _normal_cdf(xf[lo:hi], cdf[lo:hi], z[:m], a[:m], t[:m], erf)
         np.multiply(xf[lo:hi], cdf[lo:hi], out=of[lo:hi])
 
     def backward(g):
@@ -334,11 +340,11 @@ def gelu(x: Tensor) -> Tensor:
     return make_result(out, (x,), backward)
 
 
-def _normal_cdf(x, y, z, a, t):
+def _normal_cdf(x, y, z, a, t, erf):
     # y = Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) for one block, through the
     # block-sized scratch z, a, t.  float32 takes the Abramowitz-Stegun erf,
     # erf(z) = sign(z) * (1 - poly(u) * u * exp(-z^2)), u = 1 / (1 + p|z|);
-    # float64 takes scipy's.
+    # float64 takes scipy's, which the caller passes in as ``erf``.
     np.multiply(x, _INV_SQRT2, out=z)
     if x.dtype == np.float32:
         np.abs(z, out=a)
@@ -363,6 +369,8 @@ def _normal_cdf(x, y, z, a, t):
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    from scipy.special import expit
+
     s = expit(x.data)
 
     def backward(g):

@@ -28,13 +28,14 @@ def _write_reference_png(path, pixels, color_type, bit_depth=8, interlace=0):
     path.write_bytes(_png_bytes(ihdr, zlib.compress(bytes(body))))
 
 
-def _png_bytes(ihdr: bytes, idat: bytes) -> bytes:
-    """A PNG file of one IHDR, one IDAT and the IEND chunk."""
+def _png_bytes(ihdr: bytes, *idats: bytes) -> bytes:
+    """A PNG file of one IHDR, one IDAT chunk per body in ``idats`` and IEND."""
     def chunk(ctype, data):
         return struct.pack(">I", len(data)) + ctype + data + struct.pack(
             ">I", zlib.crc32(ctype + data) & 0xFFFFFFFF
         )
-    return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b"")
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + b"".join(chunk(b"IDAT", idat) for idat in idats) + chunk(b"IEND", b""))
 
 
 def _ihdr(width, height, color_type=2):
@@ -264,6 +265,37 @@ class TestPng:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"decode_png peaked at {peak} bytes"
+
+    def test_bomb_peak_stays_within_file_size(self, tmp_path):
+        # The stream is held once, as the file's bytes; the inflater sees it
+        # in bounded slices, so what it sets aside stays small.
+        p = tmp_path / "bomb200.png"
+        _write_zero_bomb(p, megabytes=200)
+        size = p.stat().st_size
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError, match="decompressed size exceeds"):
+                decode_png(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= size + (128 << 10), f"decode_png peaked at {peak} bytes for a {size}-byte file"
+
+    def test_stream_split_across_idat_chunks(self, tmp_path):
+        rng = np.random.default_rng(12)
+        pixels = rng.integers(0, 256, (150, 170, 3), dtype=np.uint8)
+        rows = np.zeros((150, 170 * 3 + 1), dtype=np.uint8)
+        rows[:, 1:] = pixels.reshape(150, -1)
+        stream = zlib.compress(rows.tobytes())
+        assert len(stream) > 70_000  # spans more than one inflater slice
+        cuts = [0, 0, 1, 65_536, 65_537, 70_000, 70_000, len(stream)]
+        idats = [stream[a:b] for a, b in zip(cuts, cuts[1:])]
+        p = tmp_path / "split.png"
+        p.write_bytes(_png_bytes(_ihdr(170, 150), *idats))
+        np.testing.assert_array_equal(decode_png(p).data, pixels)
+        p.write_bytes(_png_bytes(_ihdr(170, 150), *idats[:-1]))
+        with pytest.raises(DecodeError, match="incomplete or truncated stream"):
+            decode_png(p)
 
     def test_quantization_convention(self):
         planes = np.array([[[0.0]], [[0.4]], [[1.0]]])
