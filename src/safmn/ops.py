@@ -6,16 +6,25 @@ channel-wise normalizations, and channel split/concat.  Each kernel is a pure
 function; the backward closure captures only what the analytic
 vector-Jacobian product needs.
 
-Both convolution kinds run on one shifted layout: the zero-padded input is
-flattened per channel, every kernel tap reads a window of it at a fixed
-offset, and the taps are accumulated row-major into one output buffer.  A
-dense tap is one batched matrix product over the input channels, a depthwise
-tap one per-channel multiply.  A 1x1 kernel without padding reads the input
-itself, with no copy.  LayerNorm and BatchNorm share one standardization
-kernel and differ only in the axes their statistics reduce over.  GELU's
-elementwise chain runs in place over cache-sized blocks of the flattened
-input: evaluated on whole planes, each of its ~20 steps would stream a
-full-size temporary through main memory, which dominated its cost.
+Both convolution kinds run one strip loop over the output rows.  A strip's
+zero-padded input rows are flattened per channel, so every kernel tap reads
+a window of them at a fixed offset.  A dense strip copies its windows
+tap-major into one workspace and reduces taps and input channels together in
+a single GEMM; a depthwise strip sums per-channel multiplies tap by tap.
+The cropped strip goes straight into the output, and every workspace lives
+for one call only, so memory beyond the output is bounded by the strip, not
+the image.  A 1x1 kernel without padding is a single strip that reads the
+input itself, with no copy.  The backward pass stays whole-image and per
+tap, on a padded input it rebuilds when it runs.
+
+Kernels build state that only their backward pass reads (GELU's Phi(x),
+LayerNorm's xhat next to its output) only when ``tensor.records`` says the
+result will be recorded; otherwise they work in place or in block scratch.
+LayerNorm and BatchNorm share one standardization kernel and differ only in
+the axes their statistics reduce over.  GELU's elementwise chain runs in
+place over cache-sized blocks of the flattened input: evaluated on whole
+planes, each of its ~20 steps would stream a full-size temporary through
+main memory, which dominated its cost.
 
 Resampling routes elements through flat indices: a forward is one gather
 from each flattened (h*w) input plane, its backward one scatter-add into a
@@ -42,15 +51,20 @@ import math
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, make_result
+from .tensor import Tensor, make_result, records
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Abramowitz-Stegun 7.1.26 rational erf, max absolute error 1.5e-7 -- at the
-# representation limit of float32, which is the only dtype routed through it.
+# representation limit of float32, which is the only dtype routed through it:
+# erf(z) = 1 - poly(u) * u * exp(-z^2) for z >= 0, u = 1 / (1 + p z).  GELU
+# evaluates it at z = |x| / sqrt 2 and wants (1 - erf(z)) / 2, so it takes p
+# over sqrt 2 and the coefficients halved.
 _AS_P = 0.3275911
 _AS_COEFFS = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+_GELU_P = _AS_P * _INV_SQRT2
+_GELU_COEFFS = tuple(0.5 * c for c in _AS_COEFFS)
 
 # Elements per block of GELU's elementwise chain: a block and its scratch
 # buffers (256 KB each in float32) stay resident in a core's L2 cache.
@@ -73,11 +87,13 @@ def conv2d(
 
     ``groups`` is 1 (dense, weight (c_out, c_in, k, k)) or c_in == c_out
     (depthwise, weight (c, 1, k, k)); ``stride`` must be 1.  Accumulation runs
-    in a fixed order, so the result is reproducible bit-for-bit across runs:
-    each kernel tap is first reduced over the input channels (one batched
-    GEMM per tap for dense kernels, one elementwise product for depthwise),
-    then the taps are summed in row-major order.  A dense tap's weight
-    gradient is reduced over pixels by a GEMM, then over the batch.
+    in a fixed order, so the result is reproducible bit-for-bit across runs.
+    Output rows are computed strip by strip.  A dense strip is one GEMM over
+    kh*kw*c_in products in tap-major order (all input channels of tap
+    (0, 0), then of tap (0, 1), ...); a depthwise strip multiplies each tap
+    per channel and sums the taps in row-major order.  The bias is added
+    last.  A dense tap's weight gradient is reduced over pixels by a GEMM,
+    then over the batch; a depthwise tap's by one einsum over both.
     """
     n, c_in, h, w = x.data.shape
     c_out, c_in_g, kh, kw = weight.data.shape
@@ -99,11 +115,10 @@ def conv2d(
     if oh <= 0 or ow <= 0:
         raise DimensionError(f"conv2d: output would be empty for input {h}x{w}")
 
-    out, backward = _shifted_conv(x, weight, padding, oh, ow, depthwise)
+    b = None if bias is None else bias.data
+    out, backward = _shifted_conv(x.data, weight.data, b, padding, oh, ow, depthwise)
     if bias is None:
         return make_result(out, (x, weight), backward)
-
-    out += bias.data[None, :, None, None]
 
     def backward_with_bias(g):
         gx, gw = backward(g)
@@ -112,47 +127,107 @@ def conv2d(
     return make_result(out, (x, weight, bias), backward_with_bias)
 
 
-def _shifted_conv(x, weight, padding, oh, ow, depthwise):
-    # The zero-padded input is flattened per channel to one row of hp*wp + kw - 1
-    # values.  Output pixel (i, j) at padded width wp then reads tap (di, dj)
-    # at flat index i*wp + j + di*wp + dj, so each tap is one product over a
-    # shifted window of oh*wp columns; the wp - ow columns per row that wrap
-    # into the next row are cropped at the end.  A dense tap is a (c_out, c_in)
-    # matrix applied by a batched GEMM, a depthwise tap a (c, 1) column applied
-    # by a broadcast multiply, which is its own transpose.
-    n, c_in, h, w = x.data.shape
-    c_out, _, kh, kw = weight.data.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    span = oh * wp
+def _padded_rows(x, padding, p0, p1, kw, buf=None):
+    # Rows [p0, p1) of the zero-padded input, flattened per channel to
+    # (p1 - p0)*wp values plus kw - 1 trailing zeros for the wrapped windows
+    # of the last row.  Without padding and with kw == 1 this is a view of x;
+    # otherwise it is written into the leading columns of ``buf``, an
+    # (n, c, >= that many) workspace, or into a fresh array when None.
+    n, c, h, w = x.shape
+    wp = w + 2 * padding
+    m = (p1 - p0) * wp
+    if padding == 0 and kw == 1:
+        return x.reshape(n, c, h * w)[:, :, p0 * w : p0 * w + m]
+    if buf is None:
+        xp = np.zeros((n, c, m + kw - 1), dtype=x.dtype)
+    else:
+        xp = buf[:, :, : m + kw - 1]
+        xp.fill(0)
+    lo, hi = max(p0, padding), min(p1, padding + h)  # padded rows holding input rows
+    rows = xp[:, :, :m].reshape(n, c, p1 - p0, wp)
+    rows[:, :, lo - p0 : hi - p0, padding : padding + w] = x[:, :, lo - padding : hi - padding]
+    return xp
+
+
+def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise):
+    # Output rows are computed in strips of R rows.  A strip's R + kh - 1
+    # padded input rows are flattened per channel (_padded_rows), so output
+    # pixel (i, j) of the strip reads tap (di, dj) at flat index
+    # i*wp + j + di*wp + dj: each tap is a window of R*wp columns at a fixed
+    # offset, and the wp - ow columns per row that wrap into the next row are
+    # cropped as the strip is stored, together with the bias.  A dense strip
+    # copies its windows tap-major into a (kh*kw*c_in, R*wp) workspace for
+    # one GEMM with the (c_out, kh*kw*c_in) weight; a depthwise strip
+    # multiplies each window by its tap's (c, 1) column and sums the taps in
+    # row-major order.  R*wp >= 4096 columns keeps the GEMM wide; R >= 16
+    # bounds the kh - 1 rows that neighbouring strips both pad.
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = weight.shape
+    wp = w + 2 * padding
+    ntaps = kh * kw
     offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
-    taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(kh * kw, c_out, -1)
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(ntaps, c_out, -1)
+    dtype = np.result_type(x, weight)
+    rows = oh if ntaps == 1 and padding == 0 else min(oh, max(16, -(-4096 // wp)))
+    span = rows * wp
+    out = np.empty((n, c_out, oh, ow), dtype=dtype)
+    # Workspaces for one strip, reused by the next and released on return; a
+    # shorter last strip uses their leading columns.
+    strip = None
+    if not (padding == 0 and kw == 1):
+        strip = np.empty((n, c_in, span + (kh - 1) * wp + kw - 1), dtype=x.dtype)
+    res = None if wp == ow else np.empty((n, c_out, span), dtype=dtype)
+    if depthwise:
+        prod = np.empty((n, c_out, span), dtype=dtype) if ntaps > 1 else None
+    else:
+        wmat = np.ascontiguousarray(weight.transpose(0, 2, 3, 1)).reshape(c_out, -1)
+        cols = np.empty((n, ntaps, c_in, span), dtype=x.dtype) if ntaps > 1 else None
+    b = None if bias is None else bias[:, None, None]
+
+    for r0 in range(0, oh, rows):
+        r = min(rows, oh - r0)
+        s = r * wp
+        xs = _padded_rows(x, padding, r0, r0 + r + kh - 1, kw, strip)
+        rows_out = out[:, :, r0 : r0 + r]
+        # Without wrapped columns the strip is computed in its output rows.
+        dst = rows_out.reshape(n, c_out, s) if res is None else res[:, :, :s]
+        if depthwise:
+            np.multiply(taps[0], xs[:, :, :s], out=dst)
+            for t in range(1, ntaps):
+                off = offsets[t]
+                dst += np.multiply(taps[t], xs[:, :, off : off + s], out=prod[:, :, :s])
+        elif ntaps == 1:
+            np.matmul(wmat, xs[:, :, :s], out=dst)
+        else:
+            ws = cols[..., :s]
+            for t, off in enumerate(offsets):
+                ws[:, t] = xs[:, :, off : off + s]
+            np.matmul(wmat, ws.reshape(n, ntaps * c_in, s), out=dst)
+        if res is not None:
+            crop = dst.reshape(n, c_out, r, wp)[:, :, :, :ow]
+            if b is None:
+                rows_out[...] = crop
+            else:
+                np.add(crop, b, out=rows_out)
+        elif b is not None:
+            rows_out += b
+
     if depthwise:
         product, taps_t = np.multiply, taps
 
         def tap_grad(gp, xs):
-            return np.multiply(gp, xs).sum(axis=(0, 2))[:, None]
+            return np.einsum("ncs,ncs->c", gp, xs)[:, None]
     else:
         product, taps_t = np.matmul, taps.transpose(0, 2, 1)
 
         def tap_grad(gp, xs):
             return np.matmul(gp, xs.transpose(0, 2, 1)).sum(axis=0)
 
-    if padding == 0 and kw == 1:
-        xp = x.data.reshape(n, c_in, h * w)  # already in the flattened layout
-    else:
-        xp = np.zeros((n, c_in, hp * wp + kw - 1), dtype=x.data.dtype)
-        xp[:, :, : hp * wp].reshape(n, c_in, hp, wp)[
-            :, :, padding : padding + h, padding : padding + w
-        ] = x.data
-
-    out = product(taps[0], xp[:, :, :span])
-    prod = np.empty_like(out) if len(offsets) > 1 else None
-    for t in range(1, len(offsets)):
-        off = offsets[t]
-        out += product(taps[t], xp[:, :, off : off + span], out=prod)
-    out = out.reshape(n, c_out, oh, wp)[:, :, :, :ow]
-
     def backward(g):
+        # Whole-image and per tap, on a padded input rebuilt for the call.
+        hp = h + 2 * padding
+        xp = _padded_rows(x, padding, 0, hp, kw)
+        span = oh * wp
         if wp == ow:
             gp = g.reshape(n, c_out, span)
         else:  # zero gradient on the wrapped columns
@@ -160,7 +235,7 @@ def _shifted_conv(x, weight, padding, oh, ow, depthwise):
             gp[:, :, :, :ow] = g
             gp = gp.reshape(n, c_out, span)
         dw = np.stack([tap_grad(gp, xp[:, :, off : off + span]) for off in offsets])
-        if len(offsets) == 1:
+        if ntaps == 1:
             dxp = product(taps_t[0], gp)
         else:
             dxp = np.zeros(xp.shape, dtype=np.result_type(taps, gp))
@@ -171,7 +246,7 @@ def _shifted_conv(x, weight, padding, oh, ow, depthwise):
         dx = dx[:, :, padding : padding + h, padding : padding + w]
         return dx, dw.reshape(kh, kw, c_out, -1).transpose(2, 3, 0, 1)
 
-    return np.ascontiguousarray(out), backward
+    return out, backward
 
 
 def _gather(x, idx):
@@ -300,24 +375,25 @@ def gelu(x: Tensor) -> Tensor:
     """Erf-form GELU: x * Phi(x), with Phi(x) = (1 + erf(x / sqrt 2)) / 2.
 
     Forward and backward run over the flattened input in blocks of
-    ``_BLOCK`` elements, in place through reused scratch buffers.  Only
-    ``x`` and ``Phi(x)`` are kept for the backward pass.
+    ``_BLOCK`` elements, in place through reused scratch buffers.  Only when
+    the result is recorded is ``Phi(x)`` kept, full size, for the backward
+    pass; otherwise no state outlives its block.
     """
     x_data = x.data
     size = x_data.size
     xf = x_data.reshape(-1)
     out = np.empty(x_data.shape, dtype=x_data.dtype)
-    cdf = np.empty(size, dtype=x_data.dtype)
     of = out.reshape(-1)
-    z, a, t = (np.empty(min(size, _BLOCK), dtype=x_data.dtype) for _ in range(3))
+    cdf = np.empty(size, dtype=x_data.dtype) if records((x,)) else None
+    a, t, q = (np.empty(min(size, _BLOCK), dtype=x_data.dtype) for _ in range(3))
     erf = None
     if x_data.dtype != np.float32:
         from scipy.special import erf
     for lo in range(0, size, _BLOCK):
         hi = min(lo + _BLOCK, size)
         m = hi - lo
-        _normal_cdf(xf[lo:hi], cdf[lo:hi], z[:m], a[:m], t[:m], erf)
-        np.multiply(xf[lo:hi], cdf[lo:hi], out=of[lo:hi])
+        y = None if cdf is None else cdf[lo:hi]
+        _gelu_block(xf[lo:hi], of[lo:hi], y, a[:m], t[:m], q[:m], erf)
 
     def backward(g):
         gf = g.reshape(-1)
@@ -340,32 +416,43 @@ def gelu(x: Tensor) -> Tensor:
     return make_result(out, (x,), backward)
 
 
-def _normal_cdf(x, y, z, a, t, erf):
-    # y = Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) for one block, through the
-    # block-sized scratch z, a, t.  float32 takes the Abramowitz-Stegun erf,
-    # erf(z) = sign(z) * (1 - poly(u) * u * exp(-z^2)), u = 1 / (1 + p|z|);
-    # float64 takes scipy's, which the caller passes in as ``erf``.
-    np.multiply(x, _INV_SQRT2, out=z)
-    if x.dtype == np.float32:
-        np.abs(z, out=a)
-        np.multiply(_AS_P, a, out=t)
-        np.add(1.0, t, out=t)
-        np.divide(1.0, t, out=t)
-        y.fill(_AS_COEFFS[4])
-        for c in reversed(_AS_COEFFS[:4]):
-            y *= t
-            y += c
-        y *= t
-        np.negative(a, out=t)
-        t *= a
-        np.exp(t, out=t)
-        y *= t
-        np.subtract(1.0, y, out=y)
-        np.copysign(y, z, out=y)
-    else:
-        erf(z, out=y)
-    y += 1.0
-    y *= 0.5
+def _gelu_block(x, out, cdf, a, t, q, erf):
+    # out = gelu(x) for one block, and cdf = Phi(x) unless it is None, through
+    # the block-sized scratch a, t, q.  float64 takes scipy's erf, which the
+    # caller passes in as ``erf``.  float32 takes the Abramowitz-Stegun erf at
+    # |x| / sqrt 2, where 1 - Phi(|x|) = q = poly(u) * u * exp(-x^2 / 2) / 2
+    # with u = 1 / (1 + p|x| / sqrt 2); so gelu(x) = max(x, 0) - |x| * q and
+    # Phi(x) = 1/2 + copysign(1/2 - q, x).  |x| is clamped to the largest
+    # finite value, where q is 0, so that |x| * q is 0 rather than inf * 0
+    # at x = +-inf.
+    if erf is not None:
+        y = q if cdf is None else cdf
+        np.multiply(x, _INV_SQRT2, out=a)
+        erf(a, out=y)
+        y += 1.0
+        y *= 0.5
+        np.multiply(x, y, out=out)
+        return
+    np.abs(x, out=a)
+    np.minimum(a, np.finfo(a.dtype).max, out=a)
+    np.multiply(a, _GELU_P, out=t)
+    t += 1.0
+    np.divide(1.0, t, out=t)
+    np.multiply(t, _GELU_COEFFS[4], out=q)
+    for c in reversed(_GELU_COEFFS[:4]):
+        q += c
+        q *= t
+    np.multiply(a, -0.5, out=t)
+    t *= a
+    np.exp(t, out=t)
+    q *= t
+    if cdf is not None:
+        np.subtract(0.5, q, out=cdf)
+        np.copysign(cdf, x, out=cdf)
+        cdf += 0.5
+    q *= a
+    np.maximum(x, 0.0, out=out)
+    out -= q
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -394,18 +481,30 @@ def batch_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = BN_
 
 def _standardize(x, gamma, beta, eps, axes):
     # Subtract the mean and divide by the population standard deviation over
-    # ``axes``, then apply the per-channel affine gamma * xhat + beta.
+    # ``axes``, then apply the per-channel affine gamma * xhat + beta.  The
+    # variance sums squares of the centred values (two passes), which keeps
+    # float32 accurate where E[x^2] - mu^2 would cancel (|mu| >> sigma).  The
+    # centred buffer is scaled in place into xhat; unless the result is
+    # recorded, the affine runs in place too and xhat becomes the output.
     n, c, h, w = x.data.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise DimensionError(f"channel norm: affine params must have shape ({c},)")
     if eps <= 0:
         raise ValueError("channel norm: eps must be positive")
     mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = x.data - mu
+    kept = "".join(d for i, d in enumerate("nchw") if i not in axes)
+    sq = np.einsum(f"nchw,nchw->{kept}", xhat, xhat).reshape(mu.shape)
+    inv = 1.0 / np.sqrt(sq / (x.data.size // mu.size) + eps)
+    xhat *= inv
     g4 = gamma.data[None, :, None, None]
-    out = g4 * xhat + beta.data[None, :, None, None]
+    b4 = beta.data[None, :, None, None]
+    if records((x, gamma, beta)):
+        out = g4 * xhat + b4
+    else:
+        out = xhat
+        out *= g4
+        out += b4
 
     def backward(g):
         dgamma = (g * xhat).sum(axis=(0, 2, 3))

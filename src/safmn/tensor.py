@@ -142,9 +142,19 @@ def _topological_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def records(parents: Sequence[Tensor]) -> bool:
+    """Whether a result computed from ``parents`` will be recorded in the graph.
+
+    True when gradients are enabled and some parent requires one.  A kernel
+    asks this before it builds state that only its backward pass reads, and
+    :func:`make_result` records the result's edges on the same answer.
+    """
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def make_result(data: np.ndarray, parents: Sequence[Tensor], backward: BackwardFn) -> Tensor:
-    """Wrap a kernel result, recording graph edges when gradients are live."""
-    needs = _grad_enabled and any(p.requires_grad for p in parents)
+    """Wrap a kernel result, recording graph edges when :func:`records` holds."""
+    needs = records(parents)
     out = Tensor(data, requires_grad=needs)
     if needs:
         out._parents = tuple(parents)

@@ -76,6 +76,30 @@ def test_fast_conv_tracks_float64(wshape, padding, groups):
         assert rel < 1e-5, f"{name}: fast-mode deviation {rel:.2e}"
 
 
+def test_fast_conv_tracks_float64_across_strips():
+    # A dense 3x3 over 16-row strips (16, 16, 5): the float32 forward and its
+    # input, weight and bias gradients stay within 1e-5 relative L2 of the
+    # float64 results.
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((2, 36, 37, 258))
+    w = rng.standard_normal((72, 36, 3, 3)) / np.sqrt(36 * 9)
+    b = rng.standard_normal(72)
+    proj = rng.standard_normal((2, 72, 37, 258))
+
+    def run(mode, dtype):
+        tmod.set_mode(mode)
+        args = [Tensor(a.astype(dtype), requires_grad=True) for a in (x, w, b)]
+        out = ops.conv2d(*args, 1, 1, 1)
+        return (out.data, *out._backward(proj.astype(dtype)))
+
+    ref = run("test", np.float64)
+    fast = run("fast", np.float32)
+    for name, f, r in zip(("out", "dx", "dw", "db"), fast, ref):
+        assert f.dtype == np.float32, f"{name} is {f.dtype}"
+        rel = np.linalg.norm(f.astype(np.float64) - r) / np.linalg.norm(r)
+        assert rel < 1e-5, f"{name}: fast-mode deviation {rel:.2e}"
+
+
 @pytest.mark.parametrize(
     "pool,shape,out_hw",
     [

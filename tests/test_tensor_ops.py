@@ -1,5 +1,6 @@
 """Forward-value oracles and structural invariants for the tensor kernels."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.special import erf
 
 from safmn import ops
 from safmn.errors import DimensionError
-from safmn.tensor import Tensor, add, channel_gate, mul, scale
+from safmn.tensor import Tensor, add, channel_gate, mul, no_grad, records, scale
 
 
 def conv_reference(x, w, b, stride, padding, groups):
@@ -77,6 +78,28 @@ class TestConv2d:
         out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding, groups)
         ref = conv_reference(x, w, b, stride, padding, groups)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape,wshape,padding,groups",
+        [
+            ((2, 3, 37, 258), (4, 3, 3, 3), 1, 1),
+            ((1, 4, 36, 258), (3, 4, 3, 3), 0, 1),
+            ((2, 3, 35, 256), (3, 1, 3, 3), 1, 3),
+            ((1, 2, 20, 300), (2, 1, 3, 3), 0, 2),
+            ((1, 3, 20, 260), (2, 3, 1, 1), 1, 1),
+            ((1, 2, 500, 8), (2, 2, 3, 3), 1, 1),
+        ],
+        ids=[
+            "stem-pad1-batch2", "dense-pad0", "depthwise-batch2", "depthwise-pad0", "1x1-pad1", "narrow"
+        ],
+    )
+    def test_matches_direct_summation_across_strips(self, shape, wshape, padding, groups):
+        # Output rows are computed in strips of max(16, ceil(4096 / wp)) rows;
+        # each case spans several strips and ends in a partial one.
+        oh = shape[2] + 2 * padding - wshape[2] + 1
+        rows = max(16, -(-4096 // (shape[3] + 2 * padding)))
+        assert oh > rows and oh % rows
+        self.test_matches_direct_summation(shape, wshape, 1, padding, groups)
 
     @pytest.mark.parametrize(
         "wshape,stride,groups",
@@ -351,23 +374,24 @@ class TestActivationsAndNorms:
         x = (rng.standard_normal(shape) * 3).astype(dtype)
         g = rng.standard_normal(shape).astype(dtype)
         # The same expression over the whole array at once.
-        z = x * (1.0 / math.sqrt(2.0))
         if dtype == np.float32:
-            az = np.abs(z)
-            t = 1.0 / (1.0 + ops._AS_P * az)
-            poly = ops._AS_COEFFS[4]
-            for c in reversed(ops._AS_COEFFS[:4]):
-                poly = poly * t + c
-            erf_z = np.copysign(1.0 - poly * t * np.exp(-az * az), z)
+            ax = np.abs(x)
+            u = 1.0 / (1.0 + ax * ops._GELU_P)
+            q = u * ops._GELU_COEFFS[4]
+            for c in reversed(ops._GELU_COEFFS[:4]):
+                q = (q + c) * u
+            q = q * np.exp((ax * -0.5) * ax)
+            cdf = 0.5 + np.copysign(0.5 - q, x)
+            expected = np.maximum(x, 0.0) - q * ax
         else:
-            erf_z = erf(z)
-        cdf = 0.5 * (1.0 + erf_z)
+            cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+            expected = x * cdf
         pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
 
         y = ops.gelu(Tensor(x, requires_grad=True))
         (dx,) = y._backward(g)
         assert y.data.dtype == dx.dtype == dtype
-        np.testing.assert_array_equal(y.data, x * cdf)
+        np.testing.assert_array_equal(y.data, expected)
         np.testing.assert_array_equal(dx, g * (cdf + x * pdf))
 
     def test_sigmoid_range(self):
@@ -404,6 +428,140 @@ class TestActivationsAndNorms:
         x = Tensor(rng.standard_normal((1, 5, 2, 2)) + 0.5)
         out = ops.l2_normalize_channels(x)
         np.testing.assert_allclose((out.data**2).sum(axis=1), 1.0, atol=1e-9)
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gelu_keeps_positive_infinity(self, dtype):
+        x = np.array([np.inf, 1e30, -1e30, 0.0], dtype=dtype).reshape(1, 4, 1, 1)
+        with np.errstate(over="ignore"):
+            out = ops.gelu(Tensor(x)).data.ravel()
+        np.testing.assert_array_equal(out, np.array([np.inf, 1e30, 0.0, 0.0], dtype=dtype))
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_float32_gelu_tracks_float64_erf(self, sigma):
+        # Max abs error of float32 GELU and its gradient against float64 erf
+        # GELU, next to the chain that computed erf(x / sqrt 2) first and
+        # Phi = (1 + erf) / 2 from it.  The forward is no worse; the gradient
+        # reuses Phi, and stays within one float32 ulp of Phi(0) = 1/2.
+        rng = np.random.default_rng(5)
+        x = (rng.standard_normal((1, 8, 64, 64)) * sigma).astype(np.float32)
+        x64 = x.astype(np.float64)
+        cdf64 = 0.5 * (1.0 + erf(x64 / math.sqrt(2.0)))
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        z = x * (1.0 / math.sqrt(2.0))
+        az = np.abs(z)
+        t = 1.0 / (1.0 + ops._AS_P * az)
+        poly = ops._AS_COEFFS[4]
+        for c in reversed(ops._AS_COEFFS[:4]):
+            poly = poly * t + c
+        chain = 0.5 * (1.0 + np.copysign(1.0 - poly * t * np.exp(-az * az), z))
+
+        y = ops.gelu(Tensor(x, requires_grad=True))
+        (dx,) = y._backward(np.ones_like(x))
+
+        def err(a, ref):
+            return np.abs(a.astype(np.float64) - ref).max()
+
+        ref, dref = x64 * cdf64, cdf64 + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
+        assert err(y.data, ref) <= err(x * chain, ref)
+        assert err(dx, dref) <= err(chain + x * pdf, dref) + 2.0**-24
+
+    def test_layer_norm_variance_is_centred(self):
+        # |mu| >> sigma in float32: E[x^2] - mu^2 loses every digit of the
+        # variance, the variance of the centred values keeps it.
+        rng = np.random.default_rng(6)
+        x = (rng.standard_normal((2, 36, 24, 40)) * 0.1 + 1e3).astype(np.float32)
+        one, zero = Tensor(np.ones(36, np.float32)), Tensor(np.zeros(36, np.float32))
+        eps = ops.LN_EPS
+        x64 = x.astype(np.float64)
+        ref = (x64 - x64.mean(axis=1, keepdims=True)) / np.sqrt(x64.var(axis=1, keepdims=True) + eps)
+        mu = x.mean(axis=1, keepdims=True)
+        var_pass = (x - mu) * (1.0 / np.sqrt(x.var(axis=1, keepdims=True) + eps))
+        one_pass_var = np.maximum((x * x).mean(axis=1, keepdims=True) - mu * mu, 0.0)
+        one_pass = (x - mu) * (1.0 / np.sqrt(one_pass_var + eps))
+
+        def rel(a):
+            return np.linalg.norm(a - ref) / np.linalg.norm(ref)
+
+        out = ops.layer_norm_channels(Tensor(x), one, zero).data
+        assert rel(out) <= rel(var_pass) * (1 + 1e-3)
+        assert rel(one_pass) > 100 * rel(var_pass)
+
+
+class TestRecordingRule:
+    def _inputs(self, rng, shape, requires_grad):
+        # float32 input x, dense and depthwise 3x3 weights, and a (c,) vector.
+        c = shape[1]
+        arrays = (
+            rng.standard_normal(shape),
+            rng.standard_normal((c, c, 3, 3)) / 10,
+            rng.standard_normal((c, 1, 3, 3)),
+            rng.standard_normal(c),
+        )
+        return tuple(Tensor(a.astype(np.float32), requires_grad=requires_grad) for a in arrays)
+
+    def test_records_rule(self):
+        live, frozen = Tensor(np.zeros(1), requires_grad=True), Tensor(np.zeros(1))
+        assert records((frozen, live)) and not records((frozen,)) and not records(())
+        with no_grad():
+            assert not records((live,))
+
+    def test_no_grad_results_hold_no_graph(self):
+        x, w, wd, b = self._inputs(np.random.default_rng(0), (1, 4, 9, 11), True)
+        with no_grad():
+            results = [
+                ops.conv2d(x, w, b, padding=1),
+                ops.conv2d(x, wd, b, padding=1, groups=4),
+                ops.conv2d(x, w),
+                ops.layer_norm_channels(x, b, b),
+                ops.gelu(x),
+            ]
+        for r in results:
+            assert r._parents == () and r._backward is None and not r.requires_grad
+
+    @staticmethod
+    def _traced_peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kernel", ["gelu", "layer_norm", "dense3x3"])
+    def test_no_grad_peak_memory(self, kernel):
+        # float32 under no_grad at (1, 36, 96, 160): no full-size state beyond
+        # the output.  A dense conv may hold its strip workspace (the tap-major
+        # windows, the padded input rows and the strip's product), two
+        # re-laid copies of its weight and the ufunc buffers of the bias add.
+        n, c, h, w = 1, 36, 96, 160
+        x, wt, _, b = self._inputs(np.random.default_rng(1), (n, c, h, w), False)
+        fns = {
+            "gelu": (lambda: ops.gelu(x), 2 << 20),
+            "layer_norm": (lambda: ops.layer_norm_channels(x, b, b), 1 << 20),
+            "dense3x3": (lambda: ops.conv2d(x, wt, b, padding=1), None),
+        }
+        fn, extra = fns[kernel]
+        if extra is None:
+            wp = w + 2
+            rows = max(16, -(-4096 // wp))
+            workspace = 4 * (9 * c * rows * wp + c * ((rows + 2) * wp + 2) + c * rows * wp)
+            extra = workspace + 2 * wt.data.nbytes + (128 << 10)
+        with no_grad():
+            out, peak = self._traced_peak(fn)
+        assert peak <= out.data.nbytes + extra, f"peak {peak} > {out.data.nbytes} + {extra}"
+
+    def test_layer_norm_output_is_not_its_saved_state(self):
+        # With gradients on, the output is a new array next to xhat: writing
+        # into it leaves the backward pass unchanged.
+        rng = np.random.default_rng(2)
+        x, _, _, b = self._inputs(rng, (2, 4, 5, 6), True)
+        g = rng.standard_normal((2, 4, 5, 6)).astype(np.float32)
+        y = ops.layer_norm_channels(x, b, b)
+        before = [a.copy() for a in y._backward(g)]
+        y.data[...] = 7.0
+        for a, ref in zip(y._backward(g), before):
+            np.testing.assert_array_equal(a, ref)
 
 
 class TestSplitConcatElementwise:
