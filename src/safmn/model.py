@@ -5,6 +5,11 @@ normalized SAFM with a residual followed by a normalized channel mixer with a
 residual), a global residual around the stack, and a conv + pixel-shuffle
 upsampler.  Every ablation axis from the variant registry is constructible;
 parameter shapes are a pure function of the configuration.
+
+Inference under ``no_grad`` keeps memory near the size of a few feature maps:
+the forward calls each block's two residual halves separately, so the block
+input is released once the SAFM half has used it, and the mixer half runs
+over row strips, so its doubled-width hidden map exists one strip at a time.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, add, channel_gate, default_dtype, mul, scale
+from .tensor import Tensor, add, channel_gate, default_dtype, mul, records, scale
 
 SAFM_MODES = (
     "full",
@@ -283,6 +288,7 @@ class SAFM(Module):
             s = conv(self._downsample(part, ph, pw))
             feats.append(ops.nearest_resize(s, h, w))
         y = ops.concat_channels(feats)
+        del feats  # dead once joined, unless the graph holds them
         if self.aggr is not None:
             y = self.aggr(y)
         y = _apply_attn(self.variant.attn, y)
@@ -319,8 +325,11 @@ class ConvChannelMixer(Module):
         self.se = SqueezeExcite(hidden) if mode == "ccm-se" else None
         self.conv2 = Conv2d(hidden, c, 1)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        y = ops.gelu(self.conv1(x))
+    def __call__(self, x: Tensor, bordered: bool = False) -> Tensor:
+        """``bordered``: x already holds conv1's zero border, as the row strips
+        of ``FMM.mixer_residual`` do, so conv1 runs unpadded."""
+        c1 = self.conv1
+        y = ops.gelu(ops.conv2d(x, c1.weight, c1.bias, padding=0 if bordered else c1.padding))
         if self.depthwise is not None:
             y = self.depthwise(y)
         if self.se is not None:
@@ -329,7 +338,11 @@ class ConvChannelMixer(Module):
 
 
 class FMM(Module):
-    """Feature mixing module: norm->SAFM residual, then norm->mixer residual."""
+    """Feature mixing module: norm->SAFM residual, then norm->mixer residual.
+
+    The two residual halves are separate methods, so a caller can drop the
+    block input once the first half has consumed it.
+    """
 
     def __init__(self, c: int, variant: VariantSpec):
         # Assignment order is parameter order: norm1, safm, norm2, mixer.
@@ -341,13 +354,67 @@ class FMM(Module):
         self.mixer = ConvChannelMixer(c, variant.mixer) if has_mixer else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.safm is not None:
-            y = self.norm1(x) if self.norm1 is not None else x
-            x = add(self.safm(y), x)
-        if self.mixer is not None:
+        return self.mixer_residual(self.safm_residual(x))
+
+    def safm_residual(self, x: Tensor) -> Tensor:
+        """x + safm(norm1(x))."""
+        if self.safm is None:
+            return x
+        y = self.norm1(x) if self.norm1 is not None else x
+        return add(self.safm(y), x)
+
+    def mixer_residual(self, x: Tensor) -> Tensor:
+        """x + mixer(norm2(x)): whole-image when recorded, else row strips.
+
+        Strips hold ``ops.strip_rows(w + 2p)`` output rows, p being conv1's
+        padding.  A strip normalises its input rows and p halo rows above and
+        below (zero rows beyond the image border) into a buffer with p zero
+        columns on each side; conv1 runs unpadded on it, so it computes
+        exactly the strip's rows, and the residual add writes straight into
+        the output rows.  No full-size norm output, hidden map or conv2
+        output exists.  Every layer of the half is per-pixel or row-local,
+        so each output row goes through the same operations as on the whole
+        image; only a GEMM of another width may round differently.
+        """
+        if self.mixer is None:
+            return x
+        if not self._streams(x):
             y = self.norm2(x) if self.norm2 is not None else x
-            x = add(self.mixer(y), x)
-        return x
+            return add(self.mixer(y), x)
+        n, c, h, w = x.shape
+        p = self.mixer.conv1.padding
+        rows = ops.strip_rows(w + 2 * p)
+        xd = x.data
+        out = np.empty_like(xd)
+        buf = np.zeros((n, c, min(rows, h) + 2 * p, w + 2 * p), dtype=xd.dtype) if p else None
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            lo, hi = max(r0 - p, 0), min(r1 + p, h)
+            y = Tensor(xd[:, :, lo:hi])
+            if self.norm2 is not None:
+                y = self.norm2(y)
+            if p:
+                strip = buf[:, :, : r1 - r0 + 2 * p]
+                top, bottom = lo - (r0 - p), hi - (r0 - p)
+                strip[:, :, :top] = 0  # the halo beyond the image border
+                strip[:, :, bottom:] = 0
+                strip[:, :, top:bottom, p : p + w] = y.data
+                y = Tensor(strip)
+            np.add(self.mixer(y, bordered=True).data, xd[:, :, r0:r1], out=out[:, :, r0:r1])
+        return Tensor(out)
+
+    def _streams(self, x: Tensor) -> bool:
+        # Row strips apply only to an unrecorded half whose layers are all
+        # per-pixel or row-local with one conv halo: batch statistics, the
+        # squeeze-excite global pool and the inverted residual's second 3x3
+        # (a halo of hidden rows) keep the whole image.
+        mixer, norm = self.mixer, self.norm2
+        return (
+            not records([x, *(p for _, p in self.named_parameters())])
+            and mixer.se is None
+            and mixer.depthwise is None
+            and (norm is None or norm.kind != "batchnorm")
+        )
 
 
 class SafmnModel(Module):
@@ -369,7 +436,10 @@ class SafmnModel(Module):
         shallow = self.first_conv(x)
         deep = shallow
         for block in self.blocks:
-            deep = block(deep)
+            # Rebinding ``deep`` between the halves releases the block input
+            # (under no_grad nothing else holds it) before the mixer runs.
+            deep = block.safm_residual(deep)
+            deep = block.mixer_residual(deep)
         deep = add(deep, shallow)
         return ops.pixel_shuffle(self.upsampler(deep), self.config.scale)
 

@@ -32,13 +32,14 @@ zeroed gradient, which sums the cells that share a source.  Nearest
 resizing gathers output (i, j) from input (floor(i*h/oh), floor(j*w/ow)).
 Adaptive pooling has one region layout for every input and output size:
 output cell (i, j) covers rows floor(i*h/oh) to ceil((i+1)*h/oh) and the
-matching columns.  Max pooling gathers each region into a row of length K,
-the largest region area.  A shorter region is padded by repeating its last
-row and column: a repeated element always comes after its original in
-row-major order, so ``argmax`` still picks the first maximum of the real
-region, which is where the gradient is scattered.  Average pooling is the
-exception: it applies one averaging matrix per axis to the same regions,
-since two small GEMMs beat gathering and summing K elements per cell.
+matching columns.  Max pooling gathers one plane per region offset, K
+planes for the largest region area, and reduces them elementwise; a shorter
+region repeats its last row and column, which changes no maximum.  Its
+backward recomputes the windows and scatters each cell's gradient to the
+lowest flat index holding the maximum, which is the first maximum in
+row-major order.  Average pooling is the exception: it applies one
+averaging matrix per axis to the same regions, since two small GEMMs beat
+gathering and summing K elements per cell.
 
 ``scipy.special`` is imported inside the two kernels that use it, float64
 GELU and ``sigmoid``: loading it costs about 0.3 s, which every process
@@ -127,6 +128,15 @@ def conv2d(
     return make_result(out, (x, weight, bias), backward_with_bias)
 
 
+def strip_rows(wp: int) -> int:
+    """Rows per strip of a row-strip loop over planes ``wp`` values wide.
+
+    At least 4096 values per strip keeps a strip's GEMM wide, and at least
+    16 rows bounds the halo rows that neighbouring strips both read.
+    """
+    return max(16, -(-4096 // wp))
+
+
 def _padded_rows(x, padding, p0, p1, kw, buf=None):
     # Rows [p0, p1) of the zero-padded input, flattened per channel to
     # (p1 - p0)*wp values plus kw - 1 trailing zeros for the wrapped windows
@@ -159,8 +169,7 @@ def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise):
     # copies its windows tap-major into a (kh*kw*c_in, R*wp) workspace for
     # one GEMM with the (c_out, kh*kw*c_in) weight; a depthwise strip
     # multiplies each window by its tap's (c, 1) column and sums the taps in
-    # row-major order.  R*wp >= 4096 columns keeps the GEMM wide; R >= 16
-    # bounds the kh - 1 rows that neighbouring strips both pad.
+    # row-major order.  R is ``strip_rows(wp)``.
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
     wp = w + 2 * padding
@@ -168,7 +177,7 @@ def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise):
     offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
     taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(ntaps, c_out, -1)
     dtype = np.result_type(x, weight)
-    rows = oh if ntaps == 1 and padding == 0 else min(oh, max(16, -(-4096 // wp)))
+    rows = oh if ntaps == 1 and padding == 0 else min(oh, strip_rows(wp))
     span = rows * wp
     out = np.empty((n, c_out, oh, ow), dtype=dtype)
     # Workspaces for one strip, reused by the next and released on return; a
@@ -287,24 +296,30 @@ def adaptive_max_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Adaptive max pooling with floor-start / ceil-end regions.
 
     The gradient routes to the first maximal element of each region in
-    row-major order.
+    row-major order, or to its first NaN where it holds one.  A tie between
+    -0.0 and +0.0 may pool to either zero.
     """
     (rs, re), (cs, ce) = _pool_regions(x, out_h, out_w, "adaptive_max_pool")
-    # Flat input index of every region element, (out_h, out_w, kh*kw); a
-    # shorter region repeats its last row and column up to the largest one.
+    # Flat input index of every region element, offset-major (kh*kw, out_h,
+    # out_w); a shorter region repeats its last row and column up to the
+    # largest one.
     kh, kw = int((re - rs).max()), int((ce - cs).max())
-    rows = np.minimum(rs[:, None] + np.arange(kh), re[:, None] - 1)
-    cols = np.minimum(cs[:, None] + np.arange(kw), ce[:, None] - 1)
+    rows = np.minimum(rs + np.arange(kh)[:, None], re - 1)
+    cols = np.minimum(cs + np.arange(kw)[:, None], ce - 1)
     shape = x.data.shape
-    idx = rows[:, None, :, None] * shape[3] + cols[None, :, None, :]
-    idx = idx.reshape(out_h, out_w, kh * kw)
-    windows = _gather(x.data, idx)
-    arg = windows.argmax(axis=-1)[..., None]
-    out = np.take_along_axis(windows, arg, axis=-1)[..., 0]
+    hw = shape[2] * shape[3]
+    idx = (rows[:, None, :, None] * shape[3] + cols[None, :, None, :]).reshape(kh * kw, out_h, out_w)
+    out = _gather(x.data, idx).max(axis=2)
 
     def backward(g):
-        # Each cell's gradient goes to the flat index of its maximum.
-        src = np.take_along_axis(idx[None, None], arg, axis=-1)[..., 0]
+        # Flat indices rise in row-major order, so a cell's first maximum is
+        # the lowest index among its hits: the largest hw - index.
+        windows = _gather(x.data, idx)
+        hits = windows == out[:, :, None]
+        if np.isnan(out).any():
+            hits |= np.isnan(windows)
+        rev = (hw - idx).astype(np.min_scalar_type(hw))
+        src = hw - np.multiply(hits, rev).max(axis=2).astype(np.int64)
         return (_scatter_add(g, src, shape),)
 
     return make_result(out, (x,), backward)

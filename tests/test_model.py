@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from malformed import DEFECTS, write_malformed_checkpoint
+from safmn import ops
 from safmn.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from safmn.errors import ConfigError, DimensionError, FormatError
 from safmn.loss import mean_abs_error
@@ -19,7 +20,7 @@ from safmn.model import (
     variant_by_name,
 )
 from safmn.optim import Adam
-from safmn.tensor import Tensor
+from safmn.tensor import Tensor, add, make_result, no_grad, set_mode
 
 
 def _wb(prefix):
@@ -161,6 +162,141 @@ class TestFmmForward:
         out = model(x)
         assert out.shape == (1, 3, 16, 16)
         assert np.all(np.isfinite(out.data))
+
+
+def _block(name, seed=3):
+    """One 36-channel block with every parameter random, norm affines too."""
+    cfg = ModelConfig(num_blocks=1, channels=36, scale=2, variant=VARIANTS[name])
+    fmm = init_model(cfg, seed=seed).blocks[0]
+    rng = np.random.default_rng(seed)
+    for _, p in fmm.named_parameters():
+        p.data = (p.data + 0.1 * rng.standard_normal(p.data.shape)).astype(p.data.dtype)
+    return fmm
+
+
+def _whole_image_half(fmm, x):
+    # The mixer half as one whole-image pass: the recorded path's arithmetic.
+    y = fmm.norm2(x) if fmm.norm2 is not None else x
+    return add(fmm.mixer(y), x)
+
+
+STREAM_VARIANTS = ["baseline", "ccm-channel-mlp", "ccm-inverted-residual", "norm-bn", "ccm-se"]
+
+
+class TestStreamedMixerHalf:
+    # Under no_grad the mixer half runs over strips of ops.strip_rows(w + 2)
+    # rows (w + 0 for the 1x1 conv1 of channel-mlp): 16 rows at w = 320,
+    # 52 at w = 77, 98 at w = 40.  Each shape spans several strips and ends
+    # in a partial one, or is shorter than one strip.
+    SHAPES = [(1, 36, 50, 320), (1, 36, 17, 320), (1, 36, 9, 40), (2, 36, 101, 77)]
+
+    @pytest.mark.parametrize("mode", ["test", "fast"])
+    @pytest.mark.parametrize("name", STREAM_VARIANTS)
+    def test_matches_whole_image_half(self, name, mode):
+        set_mode(mode)
+        fmm = _block(name)
+        rng = np.random.default_rng(7)
+        for shape in self.SHAPES:
+            x = Tensor(rng.standard_normal(shape).astype(fmm.mixer.conv1.weight.dtype))
+            with no_grad():
+                got = fmm.mixer_residual(x).data
+                ref = _whole_image_half(fmm, x).data
+            assert got.dtype == ref.dtype and got.shape == shape
+            if shape[0] == 1:
+                np.testing.assert_array_equal(got, ref)
+            elif mode == "test":
+                # Batched GEMMs of another width may round differently.
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+            else:  # the fast-mode contract's relative L2 bound
+                rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+                assert rel < 1e-5, f"{shape}: {rel:.2e}"
+
+    def test_strip_rule_is_the_conv_rule(self):
+        assert [ops.strip_rows(wp) for wp in (34, 79, 322)] == [121, 52, 16]
+
+    def test_halves_compose_to_the_block(self):
+        fmm = _block("baseline")
+        x = Tensor(np.random.default_rng(1).standard_normal((1, 36, 20, 24)))
+        with no_grad():
+            a = fmm(x).data
+            b = fmm.mixer_residual(fmm.safm_residual(x)).data
+        np.testing.assert_array_equal(a, b)
+
+    def test_input_is_left_unchanged(self):
+        fmm = _block("baseline")
+        x = Tensor(np.random.default_rng(2).standard_normal((1, 36, 40, 30)))
+        before = x.data.copy()
+        with no_grad():
+            fmm.mixer_residual(x)
+        np.testing.assert_array_equal(x.data, before)
+
+    def test_recorded_path_and_gradients_unchanged(self):
+        # With gradients on, the half is the whole-image pass: same output
+        # as the strips, and the same input and parameter gradients as the
+        # whole-image composition.
+        fmm = _block("baseline")
+        rng = np.random.default_rng(4)
+        x0 = rng.standard_normal((1, 36, 33, 20))
+        proj = rng.standard_normal(x0.shape)
+        params = [p for _, p in fmm.named_parameters()]
+
+        def grads(fn):
+            x = Tensor(x0.copy(), requires_grad=True)
+            for p in params:
+                p.grad = None
+            out = fn(x)
+            s = make_result(np.array((out.data * proj).sum()), (out,), lambda g: (g * proj,))
+            s.backward()
+            return out.data, [x.grad] + [p.grad.copy() for p in params if p.grad is not None]
+
+        out, got = grads(fmm.mixer_residual)
+        ref_out, ref = grads(lambda x: _whole_image_half(fmm, x))
+        with no_grad():
+            streamed = fmm.mixer_residual(Tensor(x0)).data
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(out, streamed)
+        assert len(got) == len(ref) == 7  # x, norm2 gamma/beta, conv1 and conv2 weight/bias
+        for g, r in zip(got, ref):
+            np.testing.assert_array_equal(g, r)
+
+    def test_no_full_size_hidden_map(self):
+        # float32 under no_grad: beyond the output, memory holds one strip's
+        # worth of buffers (conv1's tap-major workspace and padded rows, the
+        # bordered strip, norm rows, the 72-channel hidden rows and GELU's
+        # output, conv2's rows) and GELU's block scratch.  That is below the
+        # size of one full 72-channel hidden map.
+        set_mode("fast")
+        fmm = _block("baseline")
+        n, c, h, w = 1, 36, 384, 160
+        x = Tensor(np.random.default_rng(5).standard_normal((n, c, h, w)).astype(np.float32))
+        wp = w + 2
+        rows = ops.strip_rows(wp)
+        strip = 4 * (
+            9 * c * rows * wp + c * ((rows + 2) * wp + 2)  # conv1 workspace
+            + 3 * c * (rows + 2) * wp  # norm rows and their centred copy, bordered strip
+            + 2 * 2 * c * rows * w  # hidden rows and GELU output
+            + c * rows * w  # conv2 rows
+        ) + 3 * 4 * 65536 + (128 << 10)
+        hidden = 4 * 2 * c * h * w
+        assert strip < hidden
+        with no_grad():
+            tracemalloc.start()
+            try:
+                out = fmm.mixer_residual(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= out.data.nbytes + strip, f"peak {peak} > {out.data.nbytes} + {strip}"
+
+    def test_model_forward_matches_recorded_forward(self):
+        # The whole network under no_grad (streamed halves, block inputs
+        # released between halves) against the recorded forward.
+        model = init_model(ModelConfig(num_blocks=2, channels=36, scale=2), seed=6)
+        x = Tensor(np.random.default_rng(8).random((1, 3, 40, 33)))
+        ref = model(x).data
+        with no_grad():
+            got = model(x).data
+        np.testing.assert_array_equal(got, ref)
 
 
 class TestSafmnModel:

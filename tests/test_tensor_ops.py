@@ -196,6 +196,76 @@ class TestAdaptivePool:
             np.testing.assert_array_equal(dmax, ref_dmax)
             np.testing.assert_allclose(davg, ref_davg, rtol=1e-12, atol=1e-15)
 
+    @staticmethod
+    def _argmax_pool(x, oh, ow, g):
+        # Reference kernel: each region gathered into a row of length K
+        # (shorter regions repeat their last row and column), np.argmax for
+        # the first maximum in row-major order (the first NaN if any), and
+        # the gradient scattered to it.
+        n, c, h, w = x.shape
+        ri, ci = np.arange(oh), np.arange(ow)
+        rs, re = ri * h // oh, -(-(ri + 1) * h // oh)
+        cs, ce = ci * w // ow, -(-(ci + 1) * w // ow)
+        kh, kw = (re - rs).max(), (ce - cs).max()
+        rows = np.minimum(rs[:, None] + np.arange(kh), re[:, None] - 1)
+        cols = np.minimum(cs[:, None] + np.arange(kw), ce[:, None] - 1)
+        idx = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(oh, ow, kh * kw)
+        windows = x.reshape(n, c, h * w)[:, :, idx]
+        arg = windows.argmax(axis=-1)[..., None]
+        out = np.take_along_axis(windows, arg, axis=-1)[..., 0]
+        src = np.take_along_axis(idx[None, None], arg, axis=-1)[..., 0]
+        dx = np.zeros((n, c, h * w), dtype=g.dtype)
+        for b in range(n):
+            for ch in range(c):
+                np.add.at(dx[b, ch], src[b, ch].reshape(-1), g[b, ch].reshape(-1))
+        return out, dx.reshape(x.shape)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "case", ["random", "nan", "inf", "ties", "signed-zero", "180-to-22"]
+    )
+    def test_matches_argmax_kernel(self, case, dtype):
+        # Values (equal_nan, and -0.0 == +0.0) and the gradient route of
+        # the running maximum against the argmax kernel, at shapes with
+        # overlapping regions.
+        rng = np.random.default_rng(21)
+        shapes = [((2, 3, 7, 5), (3, 2)), ((1, 2, 9, 11), (4, 5)), ((4, 9, 32, 32), (4, 4))]
+        if case == "180-to-22":
+            shapes = [((1, 9, 180, 320), (22, 40))]
+        for shape, (oh, ow) in shapes:
+            x = rng.standard_normal(shape)
+            if case == "nan":
+                x[rng.random(shape) < 0.15] = np.nan
+            elif case == "inf":
+                x[rng.random(shape) < 0.2] = np.inf
+                x[rng.random(shape) < 0.3] = -np.inf
+                x[..., :2, :2] = -np.inf  # a region of nothing but -inf
+            elif case == "ties":
+                x = rng.integers(0, 3, shape).astype(float)
+            elif case == "signed-zero":
+                x = rng.choice([-0.0, 0.0, -1.0], shape)
+            x = x.astype(dtype)
+            g = rng.standard_normal(shape[:2] + (oh, ow)).astype(dtype)
+            out = ops.adaptive_max_pool(Tensor(x, requires_grad=True), oh, ow)
+            (dx,) = out._backward(g)
+            ref, ref_dx = self._argmax_pool(x, oh, ow, g)
+            assert out.data.dtype == dtype and dx.dtype == dtype
+            np.testing.assert_array_equal(out.data, ref)
+            np.testing.assert_array_equal(dx, ref_dx)
+
+    def test_first_nan_and_first_zero_take_the_gradient(self):
+        x = np.array([[1.0, np.nan], [np.nan, 5.0]])[None, None]
+        out = ops.adaptive_max_pool(Tensor(x, requires_grad=True), 1, 1)
+        (dx,) = out._backward(np.ones((1, 1, 1, 1)))
+        assert np.isnan(out.data[0, 0, 0, 0])
+        np.testing.assert_array_equal(dx[0, 0], [[0.0, 1.0], [0.0, 0.0]])
+        for a, b in ((-0.0, 0.0), (0.0, -0.0)):
+            x = np.array([[-1.0, a], [b, -2.0]])[None, None]
+            out = ops.adaptive_max_pool(Tensor(x, requires_grad=True), 1, 1)
+            (dx,) = out._backward(np.ones((1, 1, 1, 1)))
+            assert out.data[0, 0, 0, 0] == 0.0
+            np.testing.assert_array_equal(dx[0, 0], [[0.0, 1.0], [0.0, 0.0]])
+
     def test_never_exceeds_global_max(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
