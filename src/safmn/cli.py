@@ -123,11 +123,11 @@ def _build_train_config(args, file_cfg: dict[str, dict[str, str]]) -> tuple[Mode
         raw = file_cfg.get(section, {}).get(key)
         if raw is None:
             return default
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         try:
+            if cast is bool:
+                return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
             return cast(raw)
-        except ValueError:
+        except (KeyError, ValueError):
             raise ConfigError(f"config key {key!r} in section [{section}]: invalid value {raw!r}") from None
 
     scale = pick(args.scale, "model", "scale", int, 2)
@@ -159,8 +159,7 @@ def cmd_train(args) -> int:
     model_cfg, train_cfg, mode = _build_train_config(args, file_cfg)
     tensor.set_mode(mode)
     paths = _png_paths(args.hr_dir)
-    dtype = tensor.default_dtype()
-    images = [decode_png(p).to_planes().astype(dtype) for p in paths]
+    images = [decode_png(p).to_planes() for p in paths]
     log_path = Path(args.log) if args.log else None
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -188,10 +187,9 @@ def cmd_infer(args) -> int:
     paths = _png_paths(args.lr_dir) if args.lr_dir else [Path(args.input)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dtype = tensor.default_dtype()
     for path in paths:
         img = decode_png(path)
-        planes = img.to_planes().astype(dtype)
+        planes = img.to_planes()
         start = time.perf_counter()
         with no_grad():
             sr = model(Tensor(planes[None])).data[0]

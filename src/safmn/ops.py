@@ -14,8 +14,8 @@ a single GEMM; a depthwise strip sums per-channel multiplies tap by tap.
 The cropped strip goes straight into the output, and every workspace lives
 for one call only, so memory beyond the output is bounded by the strip, not
 the image.  A 1x1 kernel without padding is a single strip that reads the
-input itself, with no copy.  The backward pass stays whole-image and per
-tap, on a padded input it rebuilds when it runs.
+input itself, with no copy.  The input gradient is the same strip loop run
+on the output gradient; the weight gradient is whole-image and per tap.
 
 Kernels build state that only their backward pass reads (GELU's Phi(x),
 LayerNorm's xhat next to its output) only when ``tensor.records`` says the
@@ -90,16 +90,20 @@ def conv2d(
     (depthwise, weight (c, 1, k, k)); ``stride`` must be 1.  Accumulation runs
     in a fixed order, so the result is reproducible bit-for-bit across runs.
     Output rows are computed strip by strip.  A dense strip is one GEMM over
-    kh*kw*c_in products in tap-major order (all input channels of tap
+    k*k*c_in products in tap-major order (all input channels of tap
     (0, 0), then of tap (0, 1), ...); a depthwise strip multiplies each tap
     per channel and sums the taps in row-major order.  The bias is added
-    last.  A dense tap's weight gradient is reduced over pixels by a GEMM,
+    last.  The input gradient, computed only when the input requires one, is
+    this convolution of the output gradient with the kernel rotated by 180
+    degrees.  A dense tap's weight gradient is reduced over pixels by a GEMM,
     then over the batch; a depthwise tap's by one einsum over both.
     """
     n, c_in, h, w = x.data.shape
     c_out, c_in_g, kh, kw = weight.data.shape
     if stride != 1:
         raise DimensionError(f"conv2d: only stride 1 is supported, got {stride}")
+    if kh != kw:
+        raise DimensionError(f"conv2d: only square kernels are supported, got {kh}x{kw}")
     depthwise = groups == c_in == c_out
     if not (groups == 1 or depthwise):
         raise DimensionError(
@@ -117,15 +121,8 @@ def conv2d(
         raise DimensionError(f"conv2d: output would be empty for input {h}x{w}")
 
     b = None if bias is None else bias.data
-    out, backward = _shifted_conv(x.data, weight.data, b, padding, oh, ow, depthwise)
-    if bias is None:
-        return make_result(out, (x, weight), backward)
-
-    def backward_with_bias(g):
-        gx, gw = backward(g)
-        return gx, gw, g.sum(axis=(0, 2, 3))
-
-    return make_result(out, (x, weight, bias), backward_with_bias)
+    out, backward = _shifted_conv(x.data, weight.data, b, padding, oh, ow, depthwise, x.requires_grad)
+    return make_result(out, (x, weight) if bias is None else (x, weight, bias), backward)
 
 
 def strip_rows(wp: int) -> int:
@@ -159,7 +156,7 @@ def _padded_rows(x, padding, p0, p1, kw, buf=None):
     return xp
 
 
-def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise):
+def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise, need_dx):
     # Output rows are computed in strips of R rows.  A strip's R + kh - 1
     # padded input rows are flattened per channel (_padded_rows), so output
     # pixel (i, j) of the strip reads tap (di, dj) at flat index
@@ -175,7 +172,6 @@ def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise):
     wp = w + 2 * padding
     ntaps = kh * kw
     offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
-    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(ntaps, c_out, -1)
     dtype = np.result_type(x, weight)
     rows = oh if ntaps == 1 and padding == 0 else min(oh, strip_rows(wp))
     span = rows * wp
@@ -187,6 +183,7 @@ def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise):
         strip = np.empty((n, c_in, span + (kh - 1) * wp + kw - 1), dtype=x.dtype)
     res = None if wp == ow else np.empty((n, c_out, span), dtype=dtype)
     if depthwise:
+        taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(ntaps, c_out, 1)
         prod = np.empty((n, c_out, span), dtype=dtype) if ntaps > 1 else None
     else:
         wmat = np.ascontiguousarray(weight.transpose(0, 2, 3, 1)).reshape(c_out, -1)
@@ -221,21 +218,32 @@ def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise):
         elif b is not None:
             rows_out += b
 
-    if depthwise:
-        product, taps_t = np.multiply, taps
-
-        def tap_grad(gp, xs):
+    def tap_grad(gp, xs):
+        if depthwise:
             return np.einsum("ncs,ncs->c", gp, xs)[:, None]
-    else:
-        product, taps_t = np.matmul, taps.transpose(0, 2, 1)
-
-        def tap_grad(gp, xs):
-            return np.matmul(gp, xs.transpose(0, 2, 1)).sum(axis=0)
+        return np.matmul(gp, xs.transpose(0, 2, 1)).sum(axis=0)
 
     def backward(g):
-        # Whole-image and per tap, on a padded input rebuilt for the call.
-        hp = h + 2 * padding
-        xp = _padded_rows(x, padding, 0, hp, kw)
+        # dx is this convolution of g with the kernel rotated by 180 degrees
+        # (channel axes swapped when dense) and padding q = kh - 1 - padding;
+        # for q < 0, g's outer -q rows and columns saw only padding and are
+        # cropped.  A dense k x k kernel runs it one image at a time, so its
+        # window workspace is one image large, not batch-sized.  dW is
+        # whole-image and per tap, on a padded input rebuilt for the call.
+        dx = None
+        if need_dx:
+            flipped = weight[:, :, ::-1, ::-1]
+            if not depthwise:
+                flipped = flipped.transpose(1, 0, 2, 3)
+            q = kh - 1 - padding
+            gq = g if q >= 0 else g[:, :, -q:q, -q:q]
+            step = 1 if ntaps > 1 and not depthwise else n
+            parts = [
+                _shifted_conv(gq[i : i + step], flipped, None, max(q, 0), h, w, depthwise, False)[0]
+                for i in range(0, n, step)
+            ]
+            dx = parts[0] if step == n else np.concatenate(parts)
+        xp = _padded_rows(x, padding, 0, h + 2 * padding, kw)
         span = oh * wp
         if wp == ow:
             gp = g.reshape(n, c_out, span)
@@ -244,16 +252,8 @@ def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise):
             gp[:, :, :, :ow] = g
             gp = gp.reshape(n, c_out, span)
         dw = np.stack([tap_grad(gp, xp[:, :, off : off + span]) for off in offsets])
-        if ntaps == 1:
-            dxp = product(taps_t[0], gp)
-        else:
-            dxp = np.zeros(xp.shape, dtype=np.result_type(taps, gp))
-            prod = np.empty((n, c_in, span), dtype=dxp.dtype)
-            for t, off in enumerate(offsets):
-                dxp[:, :, off : off + span] += product(taps_t[t], gp, out=prod)
-        dx = dxp[:, :, : hp * wp].reshape(n, c_in, hp, wp)
-        dx = dx[:, :, padding : padding + h, padding : padding + w]
-        return dx, dw.reshape(kh, kw, c_out, -1).transpose(2, 3, 0, 1)
+        dw = dw.reshape(kh, kw, c_out, -1).transpose(2, 3, 0, 1)
+        return (dx, dw) if bias is None else (dx, dw, g.sum(axis=(0, 2, 3)))
 
     return out, backward
 

@@ -144,8 +144,9 @@ class TestTrain:
             b"scale = 2\n",
             b"[train]\niters = 2\niters = 3\n",
             b"[model]\nscale = \xff\xfe2\n",
+            b"[train]\naugment = maybe\n",
         ],
-        ids=["non-integer", "non-float", "no-section-header", "duplicate-key", "not-utf8"],
+        ids=["non-integer", "non-float", "no-section-header", "duplicate-key", "not-utf8", "non-boolean"],
     )
     def test_malformed_config_exits_2(self, hr_dir, tmp_path, capsys, content):
         cfg = tmp_path / "run.ini"

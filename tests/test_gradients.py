@@ -70,6 +70,22 @@ def test_conv2d_depthwise_unpadded(seed):
     check_grads_against_fd(lambda x, w, b: ops.conv2d(x, w, b, 1, 0, 4), [x, w, b], rng)
 
 
+@pytest.mark.parametrize(
+    "wshape,padding,groups",
+    [((3, 5, 1, 1), 1, 1), ((4, 3, 3, 3), 2, 1), ((3, 1, 3, 3), 2, 3)],
+    ids=["1x1-pad1", "dense-pad2", "depthwise-pad2"],
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_conv2d_padding_beyond_kernel_reach(seed, wshape, padding, groups):
+    # The outer output rows and columns see only padding, so the input
+    # gradient runs on the output gradient cropped (1x1) or unpadded (3x3).
+    rng = np.random.default_rng(1800 + seed)
+    x = rand_tensor(rng, (2, wshape[1] * groups, 4, 5))
+    w = rand_tensor(rng, wshape, scale=0.4)
+    b = rand_tensor(rng, (wshape[0],), scale=0.2)
+    check_grads_against_fd(lambda x, w, b: ops.conv2d(x, w, b, 1, padding, groups), [x, w, b], rng)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_adaptive_max_pool(seed):
     rng = np.random.default_rng(400 + seed)

@@ -38,6 +38,47 @@ def conv_reference(x, w, b, stride, padding, groups):
     return out
 
 
+def conv_vjp_reference(x, w, g, padding, groups):
+    """Direct-summation VJP oracle: explicit loops over every tap, each
+    forward product w * x sending g * x to dw and g * w to dx."""
+    n, c_in, h, wd = x.shape
+    c_out, c_in_g, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    xp = np.zeros((n, c_in, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    c_out_g = c_out // groups
+    for ni in range(n):
+        for co in range(c_out):
+            base = (co // c_out_g) * c_in_g
+            for yo in range(oh):
+                for xo in range(ow):
+                    gv = g[ni, co, yo, xo]
+                    for ci in range(c_in_g):
+                        for dy in range(kh):
+                            for dx in range(kw):
+                                dw[co, ci, dy, dx] += gv * xp[ni, base + ci, yo + dy, xo + dx]
+                                dxp[ni, base + ci, yo + dy, xo + dx] += gv * w[co, ci, dy, dx]
+    return dxp[:, :, padding : padding + h, padding : padding + wd], dw
+
+
+# Output rows are computed in strips of max(16, ceil(4096 / wp)) rows; each
+# case spans several strips and ends in a partial one.
+across_strips = pytest.mark.parametrize(
+    "shape,wshape,padding,groups",
+    [
+        ((2, 3, 37, 258), (4, 3, 3, 3), 1, 1),
+        ((1, 4, 36, 258), (3, 4, 3, 3), 0, 1),
+        ((2, 3, 35, 256), (3, 1, 3, 3), 1, 3),
+        ((1, 2, 20, 300), (2, 1, 3, 3), 0, 2),
+        ((1, 3, 20, 260), (2, 3, 1, 1), 1, 1),
+        ((1, 2, 500, 8), (2, 2, 3, 3), 1, 1),
+    ],
+    ids=["stem-pad1-batch2", "dense-pad0", "depthwise-batch2", "depthwise-pad0", "1x1-pad1", "narrow"],
+)
+
+
 class TestConv2d:
     def test_identity_1x1(self):
         rng = np.random.default_rng(0)
@@ -79,32 +120,46 @@ class TestConv2d:
         ref = conv_reference(x, w, b, stride, padding, groups)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "shape,wshape,padding,groups",
-        [
-            ((2, 3, 37, 258), (4, 3, 3, 3), 1, 1),
-            ((1, 4, 36, 258), (3, 4, 3, 3), 0, 1),
-            ((2, 3, 35, 256), (3, 1, 3, 3), 1, 3),
-            ((1, 2, 20, 300), (2, 1, 3, 3), 0, 2),
-            ((1, 3, 20, 260), (2, 3, 1, 1), 1, 1),
-            ((1, 2, 500, 8), (2, 2, 3, 3), 1, 1),
-        ],
-        ids=[
-            "stem-pad1-batch2", "dense-pad0", "depthwise-batch2", "depthwise-pad0", "1x1-pad1", "narrow"
-        ],
-    )
+    @across_strips
     def test_matches_direct_summation_across_strips(self, shape, wshape, padding, groups):
-        # Output rows are computed in strips of max(16, ceil(4096 / wp)) rows;
-        # each case spans several strips and ends in a partial one.
         oh = shape[2] + 2 * padding - wshape[2] + 1
         rows = max(16, -(-4096 // (shape[3] + 2 * padding)))
         assert oh > rows and oh % rows
         self.test_matches_direct_summation(shape, wshape, 1, padding, groups)
 
+    @across_strips
+    def test_vjp_matches_direct_summation_across_strips(self, shape, wshape, padding, groups):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal(wshape)
+        out = ops.conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), None, 1, padding, groups)
+        g = rng.standard_normal(out.shape)
+        dx, dw = out._backward(g)
+        ref_dx, ref_dw = conv_vjp_reference(x, w, g, padding, groups)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("wshape,padding,groups", [((4, 3, 3, 3), 1, 1), ((3, 1, 3, 3), 1, 3)])
+    def test_input_gradient_only_when_required(self, wshape, padding, groups):
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal((2, 3, 6, 5))
+        w, b = rng.standard_normal(wshape), rng.standard_normal(wshape[0])
+        g = rng.standard_normal((2, wshape[0], 6, 5))
+        grads = {}
+        for need in (True, False):
+            out = ops.conv2d(
+                Tensor(x, requires_grad=need), Tensor(w, requires_grad=True),
+                Tensor(b, requires_grad=True), 1, padding, groups,
+            )
+            grads[need] = out._backward(g)
+        assert grads[True][0].shape == x.shape and grads[False][0] is None
+        for with_dx, without in zip(grads[True][1:], grads[False][1:]):
+            assert np.array_equal(with_dx, without)
+
     @pytest.mark.parametrize(
         "wshape,stride,groups",
-        [((4, 4, 3, 3), 2, 1), ((6, 2, 3, 3), 1, 2)],
-        ids=["stride2", "groups2"],
+        [((4, 4, 3, 3), 2, 1), ((6, 2, 3, 3), 1, 2), ((4, 4, 3, 1), 1, 1)],
+        ids=["stride2", "groups2", "non-square"],
     )
     def test_rejects_strided_and_grouped(self, wshape, stride, groups):
         x = Tensor(np.zeros((1, 4, 6, 6)))
