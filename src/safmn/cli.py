@@ -31,23 +31,25 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-# Config-file schema: section -> known keys.
-_CONFIG_SCHEMA = {
-    "model": {"scale", "channels", "blocks", "variant"},
-    "train": {
-        "iters",
-        "batch-size",
-        "patch-size",
-        "seed",
-        "lr-max",
-        "lr-min",
-        "lambda",
-        "augment",
-        "log-every",
-        "checkpoint-every",
-        "mode",
-    },
-}
+# Each `train` setting once: (section, key, type, default, flag options).
+# Flag options of None make a file-only key; their `choices` bind file values too.
+_TRAIN_SETTINGS = (
+    ("model", "scale", int, 2, {"choices": (2, 3, 4)}),
+    ("model", "channels", int, 36, None),
+    ("model", "blocks", int, 8, None),
+    ("model", "variant", str, "baseline", {}),
+    ("train", "iters", int, 1000, {}),
+    ("train", "batch-size", int, 64, {}),
+    ("train", "patch-size", int, 64, {}),
+    ("train", "seed", int, 0, {}),
+    ("train", "lr-max", float, 1e-3, {}),
+    ("train", "lr-min", float, 1e-5, {}),
+    ("train", "lambda", float, 0.05, {}),
+    ("train", "augment", bool, True, None),
+    ("train", "log-every", int, 100, {}),
+    ("train", "checkpoint-every", int, 0, {}),
+    ("train", "mode", str, "test", {"choices": ("test", "fast")}),
+)
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -62,7 +64,9 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _load_config_file(path: str) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser()
+    # No header can name the empty section, so [DEFAULT] is an unknown
+    # section rather than one whose keys are merged into (or hidden from) the others.
+    parser = configparser.ConfigParser(default_section="")
     try:
         read = parser.read(path)
         out = {section: dict(parser[section]) for section in parser.sections()}
@@ -71,10 +75,11 @@ def _load_config_file(path: str) -> dict[str, dict[str, str]]:
     if not read:
         raise ConfigError(f"config file {path!r} not found")
     for section, values in out.items():
-        if section not in _CONFIG_SCHEMA:
+        known = {key for s, key, *_ in _TRAIN_SETTINGS if s == section}
+        if not known:
             raise ConfigError(f"unknown config section [{section}]")
         for key in values:
-            if key not in _CONFIG_SCHEMA[section]:
+            if key not in known:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
     return out
 
@@ -116,41 +121,40 @@ def cmd_degrade(args) -> int:
     return EXIT_OK
 
 
+def _parse_setting(section: str, key: str, cast, options, raw: str):
+    """Parse a file value as argparse parses the flag: by type, then choices."""
+    choices = (options or {}).get("choices")
+    try:
+        if cast is bool:
+            value = configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        else:
+            value = cast(raw)
+        if choices is not None and value not in choices:
+            raise ValueError
+    except (KeyError, ValueError):
+        expected = f"; choose from {', '.join(map(str, choices))}" if choices else ""
+        raise ConfigError(f"config key {key!r} in section [{section}]: invalid value {raw!r}{expected}") from None
+    return value
+
+
 def _build_train_config(args, file_cfg: dict[str, dict[str, str]]) -> tuple[ModelConfig, TrainConfig, str]:
-    def pick(cli_value, section, key, cast, default):
-        if cli_value is not None:
-            return cli_value
-        raw = file_cfg.get(section, {}).get(key)
-        if raw is None:
-            return default
-        try:
-            if cast is bool:
-                return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-            return cast(raw)
-        except (KeyError, ValueError):
-            raise ConfigError(f"config key {key!r} in section [{section}]: invalid value {raw!r}") from None
-
-    scale = pick(args.scale, "model", "scale", int, 2)
-    channels = pick(None, "model", "channels", int, 36)
-    blocks = pick(None, "model", "blocks", int, 8)
-    variant = variant_by_name(pick(args.variant, "model", "variant", str, "baseline"))
-    model_cfg = ModelConfig(num_blocks=blocks, channels=channels, scale=scale, variant=variant)
-
-    mode = pick(args.mode, "train", "mode", str, "test")
-    if mode not in ("test", "fast"):
-        raise ConfigError(f"unknown mode {mode!r}; expected test or fast")
-    train_cfg = TrainConfig(
-        iters=pick(args.iters, "train", "iters", int, 1000),
-        batch_size=pick(args.batch_size, "train", "batch-size", int, 64),
-        patch_size=pick(args.patch_size, "train", "patch-size", int, 64),
-        seed=pick(args.seed, "train", "seed", int, 0),
-        lr_max=pick(args.lr_max, "train", "lr-max", float, 1e-3),
-        lr_min=pick(args.lr_min, "train", "lr-min", float, 1e-5),
-        loss=LossConfig(lambda_weight=pick(args.lambda_weight, "train", "lambda", float, 0.05)),
-        augment=pick(None, "train", "augment", bool, True),
-        log_every=pick(args.log_every, "train", "log-every", int, 100),
-        checkpoint_every=pick(args.checkpoint_every, "train", "checkpoint-every", int, 0),
+    """Each setting from its flag, else the config file, else its default."""
+    v = {}
+    for section, key, cast, default, options in _TRAIN_SETTINGS:
+        name = key.replace("-", "_")
+        value = getattr(args, name, None)
+        if value is None:
+            raw = file_cfg.get(section, {}).get(key)
+            value = default if raw is None else _parse_setting(section, key, cast, options, raw)
+        v[name] = value
+    model_cfg = ModelConfig(
+        num_blocks=v.pop("blocks"),
+        channels=v.pop("channels"),
+        scale=v.pop("scale"),
+        variant=variant_by_name(v.pop("variant")),
     )
+    mode = v.pop("mode")
+    train_cfg = TrainConfig(loss=LossConfig(lambda_weight=v.pop("lambda")), **v)
     return model_cfg, train_cfg, mode
 
 
@@ -208,8 +212,7 @@ def cmd_eval(args) -> int:
     hr_paths = {p.stem: p for p in _png_paths(args.hr_dir)}
     unmatched = sorted(set(sr_paths) ^ set(hr_paths))
     if unmatched:
-        print("unmatched filename stems: " + ", ".join(unmatched), file=sys.stderr)
-        return EXIT_USAGE
+        raise DataError("unmatched filename stems: " + ", ".join(unmatched))
     rows = []
     for stem in sorted(sr_paths):
         sr = decode_png(sr_paths[stem])
@@ -255,18 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hr-dir", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--log", help="JSON-lines training log (default: stdout)")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--scale", type=int, choices=(2, 3, 4))
-    p.add_argument("--variant")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--patch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lr-max", type=float)
-    p.add_argument("--lr-min", type=float)
-    p.add_argument("--lambda", type=float, dest="lambda_weight")
-    p.add_argument("--log-every", type=int)
-    p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--mode", choices=("test", "fast"))
+    for _, key, cast, _, options in _TRAIN_SETTINGS:
+        if options is not None:
+            p.add_argument(f"--{key}", type=cast, **options)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="super-resolve LR images with a checkpoint")

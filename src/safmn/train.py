@@ -86,6 +86,10 @@ def train(
         if log_stream is not None:
             log_stream.write(json.dumps({"iter": it, "loss": value, "lr": lr}) + "\n")
 
+    def save(iteration: int) -> None:
+        if checkpoint_path is not None:
+            save_checkpoint(model, checkpoint_path, iteration=iteration, seed=cfg.seed, optimizer=opt)
+
     for it in range(cfg.iters):
         lr_now = schedule.lr_at(it)
         lr_img, hr_img = pairs[int(pick.integers(0, len(pairs)))]
@@ -94,30 +98,22 @@ def train(
         out = model(lr_batch)
         loss_node = composite_loss(out, hr_batch, cfg.loss)
         loss_val = loss_node.item()
-        if not math.isfinite(loss_val):
-            # Parameters still hold the last good step; keep them on disk.
-            if checkpoint_path is not None:
-                save_checkpoint(model, checkpoint_path, iteration=it, seed=cfg.seed, optimizer=opt)
-            raise TrainingError(f"non-finite loss {loss_val} at iteration {it}")
-        if it == 0:
-            first_loss = loss_val
-        loss_node.backward()
         try:
+            if not math.isfinite(loss_val):
+                raise TrainingError(f"non-finite loss {loss_val} at iteration {it}")
+            loss_node.backward()
             opt.step(lr_now)
         except TrainingError:
-            if checkpoint_path is not None:
-                save_checkpoint(model, checkpoint_path, iteration=it, seed=cfg.seed, optimizer=opt)
+            # Parameters still hold the last good step; keep them on disk.
+            save(it)
             raise
+        if it == 0:
+            first_loss = loss_val
         if cfg.log_every and (it % cfg.log_every == 0 or it == cfg.iters - 1):
             log(it, loss_val, lr_now)
-        if (
-            checkpoint_path is not None
-            and cfg.checkpoint_every
-            and (it + 1) % cfg.checkpoint_every == 0
-        ):
-            save_checkpoint(model, checkpoint_path, iteration=it + 1, seed=cfg.seed, optimizer=opt)
-    if checkpoint_path is not None:
-        save_checkpoint(model, checkpoint_path, iteration=cfg.iters, seed=cfg.seed, optimizer=opt)
+        if cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
+            save(it + 1)
+    save(cfg.iters)
     return TrainResult(model, first_loss, loss_val, cfg.iters)
 
 

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: subcommands, exit codes, artifacts on disk."""
+import importlib
 import json
 
 import numpy as np
@@ -8,8 +9,13 @@ from chart import make_chart
 from malformed import DEFECTS, write_malformed_checkpoint
 from safmn.checkpoint import read_checkpoint, save_checkpoint
 from safmn.cli import main
+from safmn.errors import TrainingError
 from safmn.imaging.png import ImageBuffer, decode_png, encode_png
 from safmn.model import ModelConfig, init_model
+from safmn.optim import Adam
+from safmn.tensor import Tensor
+
+train_module = importlib.import_module("safmn.train")  # `safmn.train` is also a function
 
 
 def _write_chart(path, size=64, seed=0):
@@ -137,24 +143,34 @@ class TestTrain:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "content",
+        "content, key",
         [
-            b"[model]\nscale = abc\n",
-            b"[train]\nlr-max = fast\n",
-            b"scale = 2\n",
-            b"[train]\niters = 2\niters = 3\n",
-            b"[model]\nscale = \xff\xfe2\n",
-            b"[train]\naugment = maybe\n",
+            (b"[model]\nscale = abc\n", "scale"),
+            (b"[train]\nlr-max = fast\n", "lr-max"),
+            (b"scale = 2\n", None),
+            (b"[train]\niters = 2\niters = 3\n", "iters"),
+            (b"[model]\nscale = \xff\xfe2\n", None),
+            (b"[train]\naugment = maybe\n", "augment"),
+            # A run this small would train and exit 0 if the choice went unchecked.
+            (b"[model]\nscale = 5\n[train]\niters = 1\nbatch-size = 1\npatch-size = 8\n", "scale"),
+            (b"[train]\nmode = turbo\n", "mode"),
+            (b"[DEFAULT]\niters = 1\n", None),
         ],
-        ids=["non-integer", "non-float", "no-section-header", "duplicate-key", "not-utf8", "non-boolean"],
+        ids=[
+            "non-integer", "non-float", "no-section-header", "duplicate-key", "not-utf8", "non-boolean",
+            "scale-outside-choices", "mode-outside-choices", "default-section",
+        ],
     )
-    def test_malformed_config_exits_2(self, hr_dir, tmp_path, capsys, content):
+    def test_malformed_config_exits_2(self, hr_dir, tmp_path, capsys, content, key):
         cfg = tmp_path / "run.ini"
         cfg.write_bytes(content)
         ckpt = tmp_path / "m.ckpt"
         rc = main(["train", "--config", str(cfg), "--hr-dir", str(hr_dir), "--out", str(ckpt)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if key is not None:
+            assert f"'{key}'" in err
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("flag", ["--log-every", "--checkpoint-every"])
@@ -207,6 +223,39 @@ class TestTrain:
         assert rc == 3
         assert ckpt.exists()  # last-good parameters retained
         read_checkpoint(ckpt)  # parses cleanly
+
+    @pytest.mark.parametrize("failure", ["non-finite-loss", "refused-step"])
+    def test_failure_checkpoint_holds_last_good_state(self, hr_dir, tmp_path, monkeypatch, failure):
+        fail_at = 2
+        state = {"steps": 0, "last_good": None}
+        real_step, real_loss = Adam.step, train_module.composite_loss
+
+        def step(self, lr):
+            if failure == "refused-step" and state["steps"] == fail_at:
+                raise TrainingError("step refused")
+            real_step(self, lr)
+            state["steps"] += 1
+            state["last_good"] = {name: p.data.copy() for name, p in self.named_params}
+
+        def loss(out, hr, cfg):
+            if failure == "non-finite-loss" and state["steps"] == fail_at:
+                return Tensor(np.array(np.nan))
+            return real_loss(out, hr, cfg)
+
+        monkeypatch.setattr(Adam, "step", step)
+        monkeypatch.setattr(train_module, "composite_loss", loss)
+        ckpt = tmp_path / "m.ckpt"
+        rc = main([
+            "train", "--hr-dir", str(hr_dir), "--out", str(ckpt),
+            "--iters", "5", "--scale", "2", "--batch-size", "2", "--patch-size", "16",
+            "--log-every", "0",
+        ])
+        assert rc == 3
+        saved = read_checkpoint(ckpt)
+        assert saved.iteration == fail_at
+        assert saved.params.keys() == state["last_good"].keys()
+        for name, value in state["last_good"].items():
+            assert np.array_equal(saved.params[name], value), name
 
 
 class TestInferAndEval:
@@ -325,7 +374,9 @@ class TestInferAndEval:
         _write_chart(sr_dir / "a.png", 64, 1)
         _write_chart(sr_dir / "zz.png", 64, 2)
         assert main(["eval", "--sr-dir", str(sr_dir), "--hr-dir", str(hr_dir)]) == 2
-        assert "zz" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "zz" in err
 
 
 class TestDirectoryArguments:
