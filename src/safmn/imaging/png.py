@@ -2,8 +2,12 @@
 
 Decoding accepts 8-bit grayscale (replicated to 3 channels), RGB, and their
 alpha variants (alpha dropped); palette, interlaced, and non-8-bit files are
-rejected.  Encoding always writes filter-0 truecolor rows at a fixed zlib
-level, so re-encoding the same pixels is byte-identical.
+rejected.  Encoding writes truecolor rows, each filtered with None, Sub or
+Up, whichever gives the smallest sum of its bytes read as signed
+(``min(b, 256 - b)``; ties go to the lower type), and deflates them with
+zlib's ``Z_RLE`` strategy.  Nothing but the pixels picks a filter, so
+re-encoding the same pixels is byte-identical.  Average and Paeth are never
+written, because decoding them runs the per-byte Python loops below.
 
 Decoding inflates at most one byte more than the header implies, then
 undoes each row's filter (PNG spec section 9) in uint8, where every
@@ -31,6 +35,7 @@ from ..tensor import default_dtype
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _ZLIB_LEVEL = 6
+_ZLIB_STRATEGY = zlib.Z_RLE
 # Largest slice of the compressed stream handed to the inflater at once.
 _INFLATE_PIECE = 1 << 16
 
@@ -235,9 +240,24 @@ def encode_png(img: ImageBuffer, path) -> None:
     """Write an RGB buffer as a truecolor PNG (lossless round trip)."""
     h, w = img.height, img.width
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    rows = np.zeros((h, w * 3 + 1), dtype=np.uint8)
-    rows[:, 1:] = img.data.reshape(h, w * 3)
-    payload = zlib.compress(rows.tobytes(), _ZLIB_LEVEL)
+    # One candidate row set per filter type, None (0), Sub (1) and Up (2);
+    # the byte before the first pixel and the row above row 0 are 0.
+    x = img.data.reshape(h, w * 3)
+    cand = np.empty((3, h, w * 3), dtype=np.uint8)
+    cand[0] = x
+    cand[1, :, :3] = x[:, :3]
+    np.subtract(x[:, 3:], x[:, :-3], out=cand[1, :, 3:])
+    cand[2, :1] = x[:1]
+    np.subtract(x[1:], x[:-1], out=cand[2, 1:])
+    # In uint8, -b wraps to 256 - b, so min(b, -b) is |b| read as signed
+    # without int8's -128.  argmin breaks ties toward the lower type.
+    cost = [np.minimum(c, -c).sum(axis=1, dtype=np.int64) for c in cand]
+    filters = np.argmin(cost, axis=0)
+    rows = np.empty((h, w * 3 + 1), dtype=np.uint8)
+    rows[:, 0] = filters
+    rows[:, 1:] = cand[filters, np.arange(h)]
+    deflater = zlib.compressobj(_ZLIB_LEVEL, zlib.DEFLATED, 15, 8, _ZLIB_STRATEGY)
+    payload = deflater.compress(rows) + deflater.flush()
     blob = _SIGNATURE + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", payload) + _chunk(b"IEND", b"")
     with open(path, "wb") as fh:
         fh.write(blob)

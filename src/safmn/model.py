@@ -446,9 +446,6 @@ class SafmnModel(Module):
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad = None

@@ -92,6 +92,45 @@ def _filter_rows(pixels, filters):
     return b"".join(rows)
 
 
+def _encoded_rows(path):
+    """Inflated image data of an RGB PNG file: per image row, the filter type
+    byte and then the filtered bytes.
+
+    Reads the chunks and inflates the IDAT with ``zlib.decompress`` alone, so
+    it checks ``encode_png`` independently of ``decode_png``.
+    """
+    blob = path.read_bytes()
+    pos, idat, ihdr = 8, b"", None
+    while pos < len(blob):
+        length, ctype = struct.unpack_from(">I4s", blob, pos)
+        body = blob[pos + 8 : pos + 8 + length]
+        if ctype == b"IHDR":
+            ihdr = struct.unpack(">IIBBBBB", body)
+        elif ctype == b"IDAT":
+            idat += body
+        pos += 12 + length
+    width, height = ihdr[:2]
+    return np.frombuffer(zlib.decompress(idat), dtype=np.uint8).reshape(height, width * 3 + 1)
+
+
+def _min_signed_sum_filters(pixels):
+    """Per-row filter among None, Sub and Up with the least sum of min(b, 256 - b)."""
+    h, w, _ = pixels.shape
+    stride = w * 3 + 1
+    filtered = [_filter_rows(pixels, [f] * h) for f in range(3)]
+    chosen = []
+    for r in range(h):
+        costs = [sum(min(b, 256 - b) for b in rows[r * stride + 1 : (r + 1) * stride])
+                 for rows in filtered]
+        chosen.append(costs.index(min(costs)))  # the first minimum: ties go low
+    return chosen
+
+
+def _ramp(h, w):
+    """(h, w, 1) ramp rising 5 per pixel along each row and 37 per row, mod 256."""
+    return (5 * np.arange(w)[None, :, None] + 37 * np.arange(h)[:, None, None]) % 256
+
+
 def _write_zero_bomb(path, megabytes=64):
     """A 2x2 RGB header over an IDAT that inflates to ``megabytes`` MB of zeros."""
     comp = zlib.compressobj(9)
@@ -116,6 +155,66 @@ class TestPng:
         encode_png(img, p1)
         encode_png(decode_png(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("content", ["random", "repeated-rows", "ramp", "signed-noise", "all-0x80"])
+    def test_encoded_rows_follow_min_signed_sum_rule(self, tmp_path, content):
+        rng = np.random.default_rng(5)
+        h, w = 6, 11
+        pixels = {
+            "random": lambda: rng.integers(0, 256, (h, w, 3)),
+            "repeated-rows": lambda: np.repeat(rng.integers(0, 256, (1, w, 3)), h, axis=0),
+            "ramp": lambda: np.broadcast_to(_ramp(h, w), (h, w, 3)),
+            "signed-noise": lambda: rng.integers(-16, 17, (h, w, 3)) % 256,
+            "all-0x80": lambda: np.full((h, w, 3), 0x80),
+        }[content]().astype(np.uint8)
+        p = tmp_path / "x.png"
+        encode_png(ImageBuffer(pixels), p)
+        rows = _encoded_rows(p)
+        filters = rows[:, 0].tolist()
+        assert set(filters) <= {0, 1, 2}
+        assert filters == _min_signed_sum_filters(pixels)
+        assert rows.tobytes() == _filter_rows(pixels, filters)
+        np.testing.assert_array_equal(decode_png(p).data, pixels)
+
+    def test_repeated_rows_choose_up(self, tmp_path):
+        row = np.random.default_rng(6).integers(0, 256, (1, 20, 3), dtype=np.uint8)
+        p = tmp_path / "x.png"
+        encode_png(ImageBuffer(np.repeat(row, 5, axis=0)), p)
+        assert _encoded_rows(p)[1:, 0].tolist() == [2] * 4
+
+    def test_horizontal_ramp_chooses_sub(self, tmp_path):
+        p = tmp_path / "x.png"
+        encode_png(ImageBuffer(np.repeat(_ramp(5, 40).astype(np.uint8), 3, axis=2)), p)
+        assert _encoded_rows(p)[:, 0].tolist() == [1] * 5
+
+    def test_zero_centred_noise_chooses_none(self, tmp_path):
+        # Independent bytes spread evenly over -16..16 (mod 256): the
+        # difference of two of them spreads twice as wide, so None wins every
+        # row.  Full-range uniform bytes cannot show this: the difference of
+        # two independent uniform bytes is uniform as well, so all three
+        # filters cost the same in expectation and each row's pick is chance.
+        noise = np.random.default_rng(7).integers(-16, 17, (8, 64, 3)) % 256
+        p = tmp_path / "x.png"
+        encode_png(ImageBuffer(noise.astype(np.uint8)), p)
+        assert _encoded_rows(p)[:, 0].tolist() == [0] * 8
+
+    def test_0x80_rows_score_as_128(self, tmp_path):
+        # 0x80 costs 128 whether read as +128 or -128; an int8 abs would
+        # score it -128 and pick None on row 1, whose Up row is all zeros.
+        p = tmp_path / "x.png"
+        encode_png(ImageBuffer(np.full((2, 9, 3), 0x80, dtype=np.uint8)), p)
+        assert _encoded_rows(p)[:, 0].tolist() == [1, 2]
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (7, 1)], ids=["1x1", "1xW", "Hx1"])
+    def test_thin_images_round_trip_and_reencode_identically(self, tmp_path, h, w):
+        pixels = np.random.default_rng(8).integers(0, 256, (h, w, 3), dtype=np.uint8)
+        p1, p2 = tmp_path / "a.png", tmp_path / "b.png"
+        encode_png(ImageBuffer(pixels), p1)
+        back = decode_png(p1)
+        np.testing.assert_array_equal(back.data, pixels)
+        encode_png(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert _encoded_rows(p1)[:, 0].tolist() == _min_signed_sum_filters(pixels)
 
     def test_1x1_white(self, tmp_path):
         p = tmp_path / "w.png"

@@ -20,6 +20,7 @@ from safmn.model import (
     variant_by_name,
 )
 from safmn.optim import Adam
+from safmn.profiler import count_params
 from safmn.tensor import Tensor, add, make_result, no_grad, set_mode
 
 
@@ -319,14 +320,14 @@ class TestSafmnModel:
     @pytest.mark.parametrize("scale,expected", [(2, 227820), (3, 232695), (4, 239520)])
     def test_default_parameter_counts(self, scale, expected):
         model = SafmnModel(ModelConfig(scale=scale))
-        assert model.param_count() == expected
+        assert count_params(model) == expected
 
     def test_parameter_count_formula(self):
         for blocks in (1, 4, 8):
             for scale in (2, 3, 4):
                 model = SafmnModel(ModelConfig(num_blocks=blocks, scale=scale))
                 expected = 1008 + blocks * 27864 + (36 * 3 * scale**2 * 9 + 3 * scale**2)
-                assert model.param_count() == expected
+                assert count_params(model) == expected
 
     def test_named_parameter_order_is_stable(self):
         model = SafmnModel(ModelConfig(num_blocks=2, channels=8, scale=2))
