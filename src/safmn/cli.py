@@ -110,13 +110,13 @@ def cmd_degrade(args) -> int:
     scale = args.scale
     for path in paths:
         img = decode_png(path)
-        planes = img.to_planes().astype(np.float64)
+        planes = img.to_planes().astype(np.float64, copy=False)
         cropped = crop_to_scale(planes, scale, path.name)
         _, h2, w2 = cropped.shape
         if cropped.shape != planes.shape:
             print(f"warning: {path.name} cropped to {w2}x{h2} for divisibility by {scale}", file=sys.stderr)
         lr = bicubic_resize(cropped, h2 // scale, w2 // scale)
-        encode_png(ImageBuffer.from_planes(np.clip(lr, 0.0, 1.0)), out_dir / path.name)
+        encode_png(ImageBuffer.from_planes(lr), out_dir / path.name)
         print(f"{path.name}: {w2}x{h2} -> {w2 // scale}x{h2 // scale}")
     return EXIT_OK
 
@@ -200,7 +200,7 @@ def cmd_infer(args) -> int:
         elapsed = time.perf_counter() - start
         if not np.isfinite(sr).all():
             raise TrainingError(f"{path.name}: super-resolved output contains non-finite values")
-        encode_png(ImageBuffer.from_planes(np.clip(sr, 0.0, 1.0)), out_dir / path.name)
+        encode_png(ImageBuffer.from_planes(sr), out_dir / path.name)
         print(f"{path.name}: {img.width}x{img.height} -> "
               f"{img.width * model.config.scale}x{img.height * model.config.scale} "
               f"in {elapsed * 1000:.0f} ms")

@@ -66,7 +66,7 @@ class ImageBuffer:
 
     @classmethod
     def from_planes(cls, planes: np.ndarray) -> "ImageBuffer":
-        """Quantize channel-first float planes in [0, 1] to 8-bit."""
+        """Quantize channel-first float planes to 8-bit; values outside [0, 1] saturate."""
         planes = np.asarray(planes)
         if planes.ndim != 3 or planes.shape[0] != 3:
             raise DimensionError(f"expected (3, h, w) planes, got {planes.shape}")

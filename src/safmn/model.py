@@ -248,6 +248,17 @@ def _apply_attn(kind: str, x: Tensor) -> Tensor:
     return x
 
 
+def pyramid_size(h: int, w: int, level: int) -> tuple[int, int]:
+    """Plane size of pyramid level ``level`` for an h x w input: floor(size / 2**level).
+
+    Raises DimensionError when that is empty.
+    """
+    ph, pw = h // 2**level, w // 2**level
+    if ph < 1 or pw < 1:
+        raise DimensionError(f"input {h}x{w} too small for a 1/{2**level} pyramid level")
+    return ph, pw
+
+
 class SAFM(Module):
     """Spatially-adaptive feature modulation.
 
@@ -282,10 +293,7 @@ class SAFM(Module):
             if level == 0:
                 feats.append(conv(part))
                 continue
-            ph, pw = h // 2**level, w // 2**level
-            if ph < 1 or pw < 1:
-                raise DimensionError(f"input {h}x{w} too small for a 1/{2**level} pyramid level")
-            s = conv(self._downsample(part, ph, pw))
+            s = conv(self._downsample(part, *pyramid_size(h, w, level)))
             feats.append(ops.nearest_resize(s, h, w))
         y = ops.concat_channels(feats)
         del feats  # dead once joined, unless the graph holds them

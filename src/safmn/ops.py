@@ -41,9 +41,9 @@ row-major order.  Average pooling is the exception: it applies one
 averaging matrix per axis to the same regions, since two small GEMMs beat
 gathering and summing K elements per cell.
 
-``scipy.special`` is imported inside the two kernels that use it, float64
-GELU and ``sigmoid``: loading it costs about 0.3 s, which every process
-would otherwise pay whether or not it reaches either kernel.
+``scipy.special`` is imported inside float64 GELU, its only user: loading it
+costs about 0.3 s, which every process would otherwise pay whether or not it
+reaches that kernel.
 """
 from __future__ import annotations
 
@@ -471,9 +471,9 @@ def _gelu_block(x, out, cdf, a, t, q, erf):
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    from scipy.special import expit
-
-    s = expit(x.data)
+    """1 / (1 + exp(-x)), from exp(-|x|) on both sides so that no exp overflows."""
+    e = np.exp(-np.abs(x.data))
+    s = np.where(x.data >= 0, 1.0, e) / (1.0 + e)
 
     def backward(g):
         return (g * s * (1.0 - s),)

@@ -13,7 +13,8 @@ The rows are read off the built model: one per convolution and one per
 norm layer, named by its parameter prefix, in parameter order.  Only the
 (zero-filled) parameters are allocated; no activation is.  A convolution runs
 at the input size except a SAFM pyramid convolution at level ``l`` (pooled
-planes of ``size // 2**l``) and a squeeze-excite convolution (1x1).
+planes of ``size // 2**l``, the forward's own ``pyramid_size``, so a size the
+forward refuses is refused here too) and a squeeze-excite convolution (1x1).
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import SAFM, Conv2d, ModelConfig, Norm, SafmnModel, SqueezeExcite
+from .model import SAFM, Conv2d, ModelConfig, Norm, SafmnModel, SqueezeExcite, pyramid_size
 
 REPORT_COLUMNS = ("name", "kind", "params", "flops", "acts")
 
@@ -73,7 +74,7 @@ def profile_model(config: ModelConfig, in_h: int, in_w: int, batch: int = 1) -> 
     for name, m in SafmnModel(config).named_modules():
         if isinstance(m, SAFM):
             for conv, level in zip(m.mfr, m.levels):
-                out_hw[id(conv)] = (in_h // 2**level, in_w // 2**level)
+                out_hw[id(conv)] = pyramid_size(in_h, in_w, level)
         elif isinstance(m, SqueezeExcite):
             out_hw.update({id(m.reduce): (1, 1), id(m.expand): (1, 1)})
         elif isinstance(m, Conv2d):
@@ -88,8 +89,8 @@ def config_of(model_or_config: SafmnModel | ModelConfig) -> ModelConfig:
 
 
 def count_params(model_or_config: SafmnModel | ModelConfig) -> int:
-    """Total trainable scalar count."""
-    return profile_model(config_of(model_or_config), 1, 1).total_params
+    """Total trainable scalar count, read off an 8x8 profile, which every variant accepts."""
+    return profile_model(config_of(model_or_config), 8, 8).total_params
 
 
 def count_flops(model_or_config: SafmnModel | ModelConfig, in_h: int, in_w: int) -> int:

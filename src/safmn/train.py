@@ -37,6 +37,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
+        if not 0 <= self.seed < 2**64:  # NumPy's seeds and the checkpoint's u64 field
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("log_every", "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")

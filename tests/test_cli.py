@@ -58,6 +58,13 @@ class TestProfile:
     def test_bad_size_exits_2(self):
         assert main(["profile", "--input-size", "abc"]) == 2
 
+    def test_size_the_model_refuses_exits_2(self, capsys):
+        assert main(["profile", "--input-size", "4x4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input 4x4 too small for a 1/8 pyramid level\n"
+        assert main(["profile", "--input-size", "8x8", "--variant", "safm-no-mr"]) == 0
+
 
 class TestDegrade:
     def test_writes_aligned_lr(self, hr_dir, tmp_path):
@@ -172,6 +179,33 @@ class TestTrain:
         if key is not None:
             assert f"'{key}'" in err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_out_of_range_seed_exits_2_before_training(self, hr_dir, tmp_path, capsys, source, seed):
+        # NumPy refuses negative seeds; the checkpoint stores the seed as u64.
+        ckpt = tmp_path / "m.ckpt"
+        args = ["train", "--hr-dir", str(hr_dir), "--out", str(ckpt),
+                "--iters", "1", "--scale", "2", "--batch-size", "1", "--patch-size", "8", "--log-every", "1"]
+        if source == "flag":
+            args += ["--seed", seed]
+        else:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(f"[train]\nseed = {seed}\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert captured.out == ""  # no log line: training never started
+        assert not ckpt.exists()
+
+    def test_largest_seed_round_trips(self, hr_dir, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        rc = main(["train", "--hr-dir", str(hr_dir), "--out", str(ckpt), "--log", str(tmp_path / "t.jsonl"),
+                   "--iters", "1", "--scale", "2", "--batch-size", "1", "--patch-size", "8",
+                   "--seed", str(2**64 - 1)])
+        assert rc == 0
+        assert read_checkpoint(ckpt).seed == 2**64 - 1
 
     @pytest.mark.parametrize("flag", ["--log-every", "--checkpoint-every"])
     def test_negative_interval_exits_2_without_checkpoint(self, hr_dir, tmp_path, capsys, flag):

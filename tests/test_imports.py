@@ -1,7 +1,7 @@
-"""``scipy.special`` loads only when float64 GELU or ``sigmoid`` runs.
+"""``scipy.special`` loads only when float64 GELU runs.
 
 Importing it costs about 0.3 s, so no module-level import may bring it back,
-and every path that never reaches those two kernels must run without scipy.
+and every path that never reaches that kernel must run without scipy.
 """
 import ast
 import os
@@ -34,9 +34,9 @@ def test_scipy_special_loads_only_with_float64_gelu():
 import sys
 import numpy as np
 import safmn
-from safmn import tensor
+from safmn import ops, tensor
 from safmn.loss import composite_loss
-from safmn.model import ModelConfig, init_model
+from safmn.model import VARIANTS, ModelConfig, init_model
 
 loaded = lambda: 'scipy.special' in sys.modules
 print(loaded())
@@ -47,7 +47,11 @@ lr = tensor.Tensor(rng.random((1, 3, 16, 16)).astype(np.float32))
 hr = rng.random((1, 3, 32, 32)).astype(np.float32)
 composite_loss(model(lr), hr).backward()
 print(loaded())
+for name in ('attn-sigmoid', 'ccm-se'):
+    init_model(ModelConfig(scale=2, variant=VARIANTS[name]), seed=0)(lr)
 tensor.set_mode('test')
+ops.sigmoid(tensor.Tensor(rng.standard_normal((1, 2, 3, 3))))
+print(loaded())
 model = init_model(ModelConfig(scale=2), seed=0)
 with tensor.no_grad():
     model(tensor.Tensor(rng.random((1, 3, 16, 16))))
@@ -55,7 +59,7 @@ print(loaded())
 """
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
+    assert proc.stdout.split() == ["False", "False", "False", "True"]
 
 
 @pytest.fixture()

@@ -3,10 +3,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from safmn.errors import ConfigError
-from safmn.model import VARIANTS, ModelConfig, SafmnModel
+from safmn.errors import ConfigError, DimensionError
+from safmn.model import VARIANTS, ModelConfig, SafmnModel, init_model
 from safmn.profiler import (
     ComplexityReport,
     count_acts,
@@ -15,6 +16,7 @@ from safmn.profiler import (
     emit_report,
     profile_model,
 )
+from safmn.tensor import Tensor, no_grad
 
 X4 = ModelConfig(scale=4)
 
@@ -68,7 +70,7 @@ class TestParams:
         assert count_params(model) == enumerated
         # One row per parameter-owning layer, named by its parameter prefix.
         prefixes = list(dict.fromkeys(n.rpartition(".")[0] for n, _ in model.named_parameters()))
-        assert [r.name for r in profile_model(cfg, 1, 1).layers if r.params] == prefixes
+        assert [r.name for r in profile_model(cfg, 8, 8).layers if r.params] == prefixes
 
     def test_small_config_oracle(self):
         cfg = ModelConfig(num_blocks=2, channels=8, scale=2)
@@ -146,6 +148,23 @@ class TestFlopsActs:
     def test_invalid_resolution(self):
         with pytest.raises(ConfigError):
             profile_model(X4, 0, 320)
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_refuses_what_the_forward_refuses(self, name):
+        # 4x4 empties the 1/8 pyramid level; 8x8 keeps every level at 1x1 or more.
+        cfg = ModelConfig(num_blocks=1, channels=12, scale=2, variant=VARIANTS[name])
+        model = init_model(cfg, seed=0)
+        for size in (4, 8):
+            x = Tensor(np.zeros((1, 3, size, size)))
+            try:
+                with no_grad():
+                    model(x)
+            except DimensionError as exc:
+                with pytest.raises(DimensionError) as refused:
+                    profile_model(cfg, size, size)
+                assert str(refused.value) == str(exc)
+            else:
+                assert profile_model(cfg, size, size).total_params == count_params(cfg)
 
 
 class TestReport:

@@ -4,11 +4,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from safmn import ops
 from safmn.errors import DimensionError
 from safmn.tensor import Tensor, add, channel_gate, mul, no_grad, records, scale
+
+
+def ulps(a, b):
+    """Units in the last place between two float arrays of one dtype.
+
+    Maps each float's bits onto a line of integers where neighbouring floats
+    differ by 1 (+0 and -0 both at 0), so the distance counts the floats between.
+    """
+    bits = np.dtype(f"i{a.dtype.itemsize}")
+    ia, ib = (v.view(bits).astype(np.int64) for v in (a, b))
+    top = np.int64(np.iinfo(bits).min)
+    ia, ib = (np.where(v < 0, top - v, v) for v in (ia, ib))
+    return np.abs(ia - ib)
 
 
 def conv_reference(x, w, b, stride, padding, groups):
@@ -518,6 +531,23 @@ class TestActivationsAndNorms:
         assert y.data.dtype == dx.dtype == dtype
         np.testing.assert_array_equal(y.data, expected)
         np.testing.assert_array_equal(dx, g * (cdf + x * pdf))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_matches_expit(self, dtype):
+        # Below -log(max float) expit's exp(-x) overflows and it returns 0;
+        # the exp(-|x|) form keeps the subnormal value there, so the grid stops short.
+        edge = math.floor(math.log(np.finfo(dtype).max)) - 1
+        x = np.concatenate([np.linspace(-edge, edge, 700_001), np.linspace(-20, 20, 400_001),
+                            [0.0, -0.0, np.inf, -np.inf]]).astype(dtype)
+        with np.errstate(over="ignore"):
+            ref = expit(x)
+        s = ops.sigmoid(Tensor(x.reshape(1, 1, 1, -1))).data.ravel()
+        assert s.dtype == dtype
+        assert ulps(s, ref).max() <= 4
+        inside = (ref > 0) & (ref < 1)
+        assert inside.sum() > 400_000
+        assert np.all((s[inside] > 0) & (s[inside] < 1))
+        assert np.isnan(ops.sigmoid(Tensor(np.full((1, 1, 1, 1), np.nan, dtype))).data).all()
 
     def test_sigmoid_range(self):
         rng = np.random.default_rng(0)
