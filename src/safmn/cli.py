@@ -110,7 +110,7 @@ def cmd_degrade(args) -> int:
     scale = args.scale
     for path in paths:
         img = decode_png(path)
-        planes = img.to_planes().astype(np.float64, copy=False)
+        planes = img.to_planes()
         cropped = crop_to_scale(planes, scale, path.name)
         _, h2, w2 = cropped.shape
         if cropped.shape != planes.shape:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DecodeError, DimensionError, UnsupportedFormatError
-from ..tensor import default_dtype
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _ZLIB_LEVEL = 6
@@ -61,8 +60,12 @@ class ImageBuffer:
         return self.data.shape[1]
 
     def to_planes(self) -> np.ndarray:
-        """Float view in [0, 1], channel-first (3, h, w)."""
-        return (self.data.astype(default_dtype()) / 255.0).transpose(2, 0, 1)
+        """Float64 planes in [0, 1], channel-first (3, h, w), in either precision mode.
+
+        A model casts them to its own dtype; float32 ``x / 255`` equals this
+        float64 ``x / 255`` rounded to float32 for every byte value ``x``.
+        """
+        return (self.data / 255.0).transpose(2, 0, 1)
 
     @classmethod
     def from_planes(cls, planes: np.ndarray) -> "ImageBuffer":

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, add, channel_gate, default_dtype, mul, records, scale
+from .tensor import Tensor, add, default_dtype, make_result, mul, records, scale
 
 SAFM_MODES = (
     "full",
@@ -315,7 +315,7 @@ class SqueezeExcite(Module):
         g = ops.adaptive_avg_pool(x, 1, 1)
         g = ops.gelu(self.reduce(g))
         g = ops.sigmoid(self.expand(g))
-        return channel_gate(x, g)
+        return mul(x, g)
 
 
 class ConvChannelMixer(Module):
@@ -438,9 +438,21 @@ class SafmnModel(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return self.forward(x)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, set by the precision mode the model was built in."""
+        return self.first_conv.weight.data.dtype
+
     def forward(self, x: Tensor) -> Tensor:
+        """Super-resolve a (n, 3, h, w) batch in the model's own dtype.
+
+        An input of another dtype is cast once, through a recorded identity,
+        so its gradient (if it requires one) comes back in its own dtype.
+        """
         if x.ndim != 4 or x.shape[1] != 3:
             raise DimensionError(f"expected (n, 3, h, w) input, got {x.shape}")
+        if x.dtype != self.dtype:
+            x = make_result(x.data.astype(self.dtype), (x,), lambda g: (g,))
         shallow = self.first_conv(x)
         deep = shallow
         for block in self.blocks:

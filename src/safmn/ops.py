@@ -439,14 +439,16 @@ def _gelu_block(x, out, cdf, a, t, q, erf):
     # with u = 1 / (1 + p|x| / sqrt 2); so gelu(x) = max(x, 0) - |x| * q and
     # Phi(x) = 1/2 + copysign(1/2 - q, x).  |x| is clamped to the largest
     # finite value, where q is 0, so that |x| * q is 0 rather than inf * 0
-    # at x = +-inf.
+    # at x = +-inf.  The float64 product x * Phi(x) likewise takes x raised
+    # to -max, so that gelu(-inf) is -max * 0 = -0.0 rather than NaN.
     if erf is not None:
         y = q if cdf is None else cdf
         np.multiply(x, _INV_SQRT2, out=a)
         erf(a, out=y)
         y += 1.0
         y *= 0.5
-        np.multiply(x, y, out=out)
+        np.maximum(x, -np.finfo(a.dtype).max, out=a)
+        np.multiply(a, y, out=out)
         return
     np.abs(x, out=a)
     np.minimum(a, np.finfo(a.dtype).max, out=a)

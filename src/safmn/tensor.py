@@ -162,14 +162,10 @@ def make_result(data: np.ndarray, parents: Sequence[Tensor], backward: BackwardF
     return out
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
-    _check_same_shape(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
 
     def backward(g):
         return g, g
@@ -178,12 +174,23 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two same-shape tensors."""
-    _check_same_shape(a, b, "mul")
+    """Elementwise product; ``b`` may broadcast to ``a``'s shape, as a (n, c, 1, 1) gate does."""
     a_data, b_data = a.data, b.data
+    try:
+        shape = np.broadcast_shapes(a_data.shape, b_data.shape)
+    except ValueError:
+        shape = None
+    if shape != a_data.shape:
+        raise DimensionError(f"mul: shape {b_data.shape} does not broadcast to {a_data.shape}")
+    # b's gradient sums over the axes that b was broadcast along.
+    padded = (1,) * (a_data.ndim - b_data.ndim) + b_data.shape
+    axes = tuple(i for i, (n, m) in enumerate(zip(a_data.shape, padded)) if n != m)
 
     def backward(g):
-        return g * b_data, g * a_data
+        db = g * a_data
+        if axes:
+            db = db.sum(axis=axes, keepdims=True).reshape(b_data.shape)
+        return g * b_data, db
 
     return make_result(a_data * b_data, (a, b), backward)
 
@@ -196,17 +203,3 @@ def scale(a: Tensor, s: float) -> Tensor:
         return (g * s,)
 
     return make_result(a.data * s, (a,), backward)
-
-
-def channel_gate(x: Tensor, gate: Tensor) -> Tensor:
-    """Scale each channel of ``x`` by a (n, c, 1, 1) gate."""
-    n, c, h, w = x.data.shape
-    if gate.data.shape != (n, c, 1, 1):
-        raise DimensionError(f"channel_gate: gate shape {gate.data.shape} != {(n, c, 1, 1)}")
-    x_data, g_data = x.data, gate.data
-
-    def backward(g):
-        dgate = (g * x_data).sum(axis=(2, 3), keepdims=True)
-        return g * g_data, dgate
-
-    return make_result(x_data * g_data, (x, gate), backward)

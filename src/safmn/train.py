@@ -72,11 +72,11 @@ def train(
     log_stream=None,
     checkpoint_path=None,
 ) -> TrainResult:
-    """Optimize ``model`` on the given HR images (LR derived by bicubic)."""
+    """Optimize ``model`` on the given HR images (LR derived by bicubic), in ``model.dtype``."""
     if not hr_images:
         raise DataError("no training images")
     scale = model.config.scale
-    pairs = prepare_pairs(hr_images, scale)
+    pairs = prepare_pairs([np.asarray(hr, dtype=model.dtype) for hr in hr_images], scale)
     sampler = PatchSampler(cfg.patch_size, cfg.batch_size, seed=cfg.seed, augment=cfg.augment)
     pick = np.random.default_rng(cfg.seed + 1)
     schedule = CosineSchedule(cfg.lr_max, cfg.lr_min, cfg.iters)

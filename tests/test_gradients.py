@@ -11,7 +11,7 @@ from conftest import check_grads_against_fd, rand_tensor
 from safmn import ops
 from safmn.loss import LossConfig, composite_loss, loss_and_grad
 from safmn.model import ModelConfig, init_model
-from safmn.tensor import Tensor, add, channel_gate, mul, scale
+from safmn.tensor import Tensor, add, mul, scale
 
 SEEDS = range(20)
 
@@ -181,10 +181,20 @@ def test_split_concat_elementwise(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_channel_gate(seed):
+    # The squeeze-excite gate: mul with a (n, c, 1, 1) second operand.
     rng = np.random.default_rng(1400 + seed)
     x = rand_tensor(rng, (2, 3, 4, 4))
     g = rand_tensor(rng, (2, 3, 1, 1))
-    check_grads_against_fd(channel_gate, [x, g], rng)
+    check_grads_against_fd(mul, [x, g], rng)
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 4), (4,), (1, 3, 4, 1)])
+def test_mul_broadcast_operand(shape):
+    # Leading axes missing from the second operand are summed away too.
+    rng = np.random.default_rng(1450 + len(shape))
+    x = rand_tensor(rng, (2, 3, 4, 4))
+    g = rand_tensor(rng, shape)
+    check_grads_against_fd(mul, [x, g], rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,7 +1,10 @@
-"""``scipy.special`` loads only when float64 GELU runs.
+"""``scipy.special`` loads only when float64 GELU runs, and the precision
+mode is read only where parameters are built.
 
-Importing it costs about 0.3 s, so no module-level import may bring it back,
-and every path that never reaches that kernel must run without scipy.
+Importing scipy costs about 0.3 s, so no module-level import may bring it
+back, and every path that never reaches that kernel must run without scipy.
+A model's parameters set the dtype it computes in; only ``tensor.py`` and
+``model.py`` may ask the global mode for one.
 """
 import ast
 import os
@@ -144,3 +147,41 @@ def test_no_module_level_scipy_import():
 ])
 def test_import_guard_flags_module_level_imports_only(source, flagged):
     assert bool(_module_level_scipy_imports(ast.parse(source))) == flagged
+
+
+MODE_READERS = {"default_dtype", "get_mode"}
+MODE_OWNERS = {"tensor.py", "model.py"}
+
+
+def _mode_reads(tree):
+    """(line, call) of every call to ``default_dtype()`` or ``get_mode()``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in MODE_READERS:
+                found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_precision_mode_read_only_where_parameters_are_built():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).as_posix() in MODE_OWNERS:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.relative_to(SRC)}:{line}: {call}" for line, call in _mode_reads(tree)]
+    assert not offenders, "precision mode read outside tensor.py and model.py:\n" + "\n".join(offenders)
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("default_dtype()", True),
+    ("x.astype(tensor.default_dtype())", True),
+    ("def f():\n    return get_mode() == 'fast'", True),
+    ("from .tensor import default_dtype, get_mode", False),
+    ("dtype = default_dtype", False),
+    ("x.dtype", False),
+])
+def test_mode_guard_flags_calls_only(source, flagged):
+    assert bool(_mode_reads(ast.parse(source))) == flagged

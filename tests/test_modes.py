@@ -2,10 +2,15 @@
 import numpy as np
 import pytest
 
+from chart import make_chart
 from safmn import ops
 from safmn import tensor as tmod
+from safmn.imaging.metrics import psnr_y, ssim_y
+from safmn.imaging.png import ImageBuffer
+from safmn.loss import composite_loss
 from safmn.model import ModelConfig, init_model
 from safmn.tensor import Tensor, no_grad
+from safmn.train import TrainConfig, train
 
 
 def test_mode_selects_dtype():
@@ -36,6 +41,54 @@ def test_fast_mode_tracks_test_mode_within_tolerance():
 
     rel = np.linalg.norm(fast.astype(np.float64) - ref) / np.linalg.norm(ref)
     assert rel < 1e-5, f"fast-mode deviation {rel:.2e}"
+
+
+def test_model_casts_a_mismatched_input_once():
+    # A float64 batch into a float32 model runs in float32, exactly as the
+    # cast batch does, and its gradient comes back in float64.
+    tmod.set_mode("fast")
+    model = init_model(ModelConfig(num_blocks=2, channels=12, scale=2), seed=4)
+    assert model.dtype == np.float32
+    rng = np.random.default_rng(4)
+    x64 = rng.random((2, 3, 16, 16))
+    target = rng.random((2, 3, 32, 32)).astype(np.float32)
+    runs = []
+    for x in (Tensor(x64, requires_grad=True), Tensor(x64.astype(np.float32), requires_grad=True)):
+        out = model(x)
+        composite_loss(out, target).backward()
+        runs.append((out.data, x.grad))
+    (out64, grad64), (out32, grad32) = runs
+    assert out64.dtype == np.float32
+    np.testing.assert_array_equal(out64, out32)
+    assert grad64.dtype == np.float64
+    np.testing.assert_array_equal(grad64, grad32.astype(np.float64))
+
+
+def test_fast_train_casts_float64_images():
+    # train() runs in the model's dtype whatever the images' dtype is.
+    images = [make_chart(48, seed=1), make_chart(40, seed=2)]
+    cfg = TrainConfig(iters=2, batch_size=2, patch_size=16, seed=5, log_every=0)
+    tmod.set_mode("fast")
+    params = []
+    for imgs in (images, [im.astype(np.float32) for im in images]):
+        model = init_model(ModelConfig(num_blocks=2, channels=12, scale=2), seed=5)
+        train(model, imgs, cfg)
+        params.append(model.parameters())
+    for p64, p32 in zip(*params):
+        assert p64.dtype == np.float32
+        np.testing.assert_array_equal(p64.data, p32.data)
+
+
+def test_metrics_do_not_depend_on_mode():
+    a = ImageBuffer.from_planes(make_chart(64, seed=1))
+    b = ImageBuffer.from_planes(make_chart(64, seed=2))
+    scores, dtypes = [], []
+    for mode in ("test", "fast"):
+        tmod.set_mode(mode)
+        scores.append((psnr_y(a, b), ssim_y(a, b), psnr_y(a, b, 4), ssim_y(a, b, 4)))
+        dtypes.append(a.to_planes().dtype)
+    assert scores[0] == scores[1]
+    assert dtypes == [np.float64, np.float64]
 
 
 def test_no_grad_skips_graph_recording():

@@ -8,7 +8,7 @@ from scipy.special import erf, expit
 
 from safmn import ops
 from safmn.errors import DimensionError
-from safmn.tensor import Tensor, add, channel_gate, mul, no_grad, records, scale
+from safmn.tensor import Tensor, add, mul, no_grad, records, scale
 
 
 def ulps(a, b):
@@ -587,10 +587,11 @@ class TestActivationsAndNorms:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_gelu_keeps_positive_infinity(self, dtype):
-        x = np.array([np.inf, 1e30, -1e30, 0.0], dtype=dtype).reshape(1, 4, 1, 1)
+        # +inf stays inf, and -inf gives 0 in both dtypes, not NaN from -inf * Phi(-inf).
+        x = np.array([np.inf, 1e30, -1e30, 0.0, -np.inf], dtype=dtype).reshape(1, 5, 1, 1)
         with np.errstate(over="ignore"):
             out = ops.gelu(Tensor(x)).data.ravel()
-        np.testing.assert_array_equal(out, np.array([np.inf, 1e30, 0.0, 0.0], dtype=dtype))
+        np.testing.assert_array_equal(out, np.array([np.inf, 1e30, 0.0, 0.0, 0.0], dtype=dtype))
 
     @pytest.mark.parametrize("sigma", [0.5, 2.0])
     def test_float32_gelu_tracks_float64_erf(self, sigma):
@@ -759,8 +760,11 @@ class TestSplitConcatElementwise:
             add(Tensor(np.zeros((1, 2, 1, 1))), Tensor(np.zeros((1, 3, 1, 1))))
 
     def test_channel_gate_shape_check(self):
-        with pytest.raises(DimensionError):
-            channel_gate(Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros((1, 3, 1, 1))))
+        # mul's second operand must broadcast to the first's shape, and no further.
+        for a, b in (((1, 2, 3, 3), (1, 3, 1, 1)), ((1, 2, 1, 1), (1, 2, 3, 3)),
+                     ((2, 3), (1, 2, 3))):
+            with pytest.raises(DimensionError, match="does not broadcast"):
+                mul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
 
 class TestFiniteness:
