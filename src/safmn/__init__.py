@@ -22,7 +22,7 @@ from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from .loss import LossConfig, composite_loss, loss_and_grad
 from .optim import Adam, CosineSchedule
 from .profiler import count_acts, count_flops, count_params, emit_report, profile_model
-from .train import TrainConfig, train, train_fresh
+from .train import TrainConfig, train
 
 __version__ = "0.1.0"
 
@@ -59,6 +59,5 @@ __all__ = [
     "save_checkpoint",
     "set_mode",
     "train",
-    "train_fresh",
     "__version__",
 ]

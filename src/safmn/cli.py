@@ -22,10 +22,10 @@ from .imaging.metrics import psnr_y, ssim_y
 from .imaging.png import ImageBuffer, decode_png, encode_png
 from .imaging.resize import bicubic_resize, crop_to_scale
 from .loss import LossConfig
-from .model import ModelConfig, variant_by_name
+from .model import ModelConfig, init_model, variant_by_name
 from .profiler import emit_report, profile_model
 from .tensor import Tensor, no_grad
-from .train import TrainConfig, train_fresh
+from .train import TrainConfig, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -163,13 +163,15 @@ def cmd_train(args) -> int:
     model_cfg, train_cfg, mode = _build_train_config(args, file_cfg)
     tensor.set_mode(mode)
     paths = _png_paths(args.hr_dir)
-    images = [decode_png(p).to_planes() for p in paths]
+    images = [decode_png(p) for p in paths]  # a bad file exits 2 before the log opens
     log_path = Path(args.log) if args.log else None
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    log_stream = open(log_path, "w") if log_path else sys.stdout
+    # Line-buffered, so a killed run keeps every line it logged.
+    log_stream = open(log_path, "w", buffering=1) if log_path else sys.stdout
     try:
-        result = train_fresh(model_cfg, images, train_cfg, log_stream, out_path)
+        model = init_model(model_cfg, seed=train_cfg.seed)
+        result = train(model, (img.to_planes() for img in images), train_cfg, log_stream, out_path)
     finally:
         if log_path:
             log_stream.close()
@@ -292,10 +294,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except SafmnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (SafmnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -488,25 +488,17 @@ class SafmnModel(Module):
             p.data = arr.copy()
 
 
-def _conv_fan_in(shape: tuple[int, ...]) -> int:
-    _, c_in_g, kh, kw = shape
-    return c_in_g * kh * kw
-
-
 def init_model(config: ModelConfig, seed: int) -> SafmnModel:
-    """Build a model and fill its parameters deterministically from ``seed``.
+    """Build a model and fill its conv weights deterministically from ``seed``.
 
-    Conv weights are uniform in (-b, b) with b = sqrt(6 / fan_in); biases and
-    norm shifts start at zero, norm scales at one.
+    Each weight is uniform in (-b, b) with b = sqrt(6 / fan_in); biases and
+    norm shifts keep the zeros, and norm scales the ones, they are built with.
     """
     model = SafmnModel(config)
     rng = np.random.default_rng(seed)
     for name, p in model.named_parameters():
         if name.endswith(".weight"):
-            bound = math.sqrt(6.0 / _conv_fan_in(p.data.shape))
+            _, c_in_g, kh, kw = p.data.shape
+            bound = math.sqrt(6.0 / (c_in_g * kh * kw))
             p.data = rng.uniform(-bound, bound, size=p.data.shape).astype(p.data.dtype)
-        elif name.endswith(".gamma"):
-            p.data = np.ones_like(p.data)
-        else:  # biases and betas
-            p.data = np.zeros_like(p.data)
     return model

@@ -414,16 +414,20 @@ def gelu(x: Tensor) -> Tensor:
         gf = g.reshape(-1)
         dx = np.empty(g.shape, dtype=np.result_type(g, cdf))
         df = dx.reshape(-1)
-        s = np.empty(min(size, _BLOCK), dtype=cdf.dtype)
+        s, c = (np.empty(min(size, _BLOCK), dtype=cdf.dtype) for _ in range(2))
+        big = np.finfo(cdf.dtype).max
         for lo in range(0, size, _BLOCK):
             hi = min(lo + _BLOCK, size)
-            xb, sb = xf[lo:hi], s[: hi - lo]
-            # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi)
+            xb, sb, cb = xf[lo:hi], s[: hi - lo], c[: hi - lo]
+            # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi).  x is
+            # clamped to the finite range for the product, so that pdf * x
+            # at x = +-inf is 0 * max = 0 rather than 0 * inf = NaN.
             np.multiply(-0.5, xb, out=sb)
             sb *= xb
             np.exp(sb, out=sb)
             sb *= _INV_SQRT2PI
-            sb *= xb
+            np.clip(xb, -big, big, out=cb)
+            sb *= cb
             sb += cdf[lo:hi]
             np.multiply(gf[lo:hi], sb, out=df[lo:hi])
         return (dx,)
@@ -516,12 +520,8 @@ def _standardize(x, gamma, beta, eps, axes):
     xhat *= inv
     g4 = gamma.data[None, :, None, None]
     b4 = beta.data[None, :, None, None]
-    if records((x, gamma, beta)):
-        out = g4 * xhat + b4
-    else:
-        out = xhat
-        out *= g4
-        out += b4
+    out = np.multiply(xhat, g4, out=None if records((x, gamma, beta)) else xhat)
+    out += b4
 
     def backward(g):
         dgamma = (g * xhat).sum(axis=(0, 2, 3))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError, TrainingError
 from .loss import LossConfig, composite_loss
-from .model import ModelConfig, SafmnModel, init_model
+from .model import SafmnModel
 from .optim import Adam, CosineSchedule
 from .imaging.resize import bicubic_resize, crop_to_scale
 from .imaging.sampler import PatchSampler
@@ -46,19 +47,21 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    model: SafmnModel
     first_loss: float
     final_loss: float
     iterations: int
 
 
 def prepare_pairs(
-    hr_images: list[np.ndarray], scale: int
+    hr_images: Iterable[np.ndarray], scale: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Center-crop HR images to scale divisibility and degrade to LR."""
+    """Center-crop HR images to scale divisibility and degrade to LR.
+
+    ``hr_images`` is read once; of each image only its crop and LR are kept.
+    """
     pairs = []
-    for hr in hr_images:
-        hr_c = np.ascontiguousarray(crop_to_scale(hr, scale, "image"))
+    for i, hr in enumerate(hr_images):
+        hr_c = np.ascontiguousarray(crop_to_scale(hr, scale, f"image {i}"))
         _, h2, w2 = hr_c.shape
         lr = bicubic_resize(hr_c, h2 // scale, w2 // scale)
         pairs.append((lr, hr_c))
@@ -67,16 +70,25 @@ def prepare_pairs(
 
 def train(
     model: SafmnModel,
-    hr_images: list[np.ndarray],
+    hr_images: Iterable[np.ndarray],
     cfg: TrainConfig,
     log_stream=None,
     checkpoint_path=None,
 ) -> TrainResult:
-    """Optimize ``model`` on the given HR images (LR derived by bicubic), in ``model.dtype``."""
-    if not hr_images:
-        raise DataError("no training images")
+    """Optimize ``model`` on HR images (LR derived by bicubic), in ``model.dtype``.
+
+    ``hr_images`` is read once, so a one-shot generator will do.  Every image
+    is checked against the patch size before step 0: ``DataError`` names the
+    first one too small by its position, counting from 0.
+    """
     scale = model.config.scale
-    pairs = prepare_pairs([np.asarray(hr, dtype=model.dtype) for hr in hr_images], scale)
+    pairs = prepare_pairs((np.asarray(hr, dtype=model.dtype) for hr in hr_images), scale)
+    if not pairs:
+        raise DataError("no training images")
+    for i, (lr, _) in enumerate(pairs):
+        _, lh, lw = lr.shape
+        if min(lh, lw) < cfg.patch_size:
+            raise DataError(f"image {i}: LR {lw}x{lh} smaller than patch size {cfg.patch_size}")
     sampler = PatchSampler(cfg.patch_size, cfg.batch_size, seed=cfg.seed, augment=cfg.augment)
     pick = np.random.default_rng(cfg.seed + 1)
     schedule = CosineSchedule(cfg.lr_max, cfg.lr_min, cfg.iters)
@@ -116,16 +128,5 @@ def train(
         if cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
             save(it + 1)
     save(cfg.iters)
-    return TrainResult(model, first_loss, loss_val, cfg.iters)
+    return TrainResult(first_loss, loss_val, cfg.iters)
 
-
-def train_fresh(
-    config: ModelConfig,
-    hr_images: list[np.ndarray],
-    cfg: TrainConfig,
-    log_stream=None,
-    checkpoint_path=None,
-) -> TrainResult:
-    """Initialize from the training seed and run :func:`train`."""
-    model = init_model(config, seed=cfg.seed)
-    return train(model, hr_images, cfg, log_stream, checkpoint_path)

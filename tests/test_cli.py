@@ -16,6 +16,7 @@ from safmn.optim import Adam
 from safmn.tensor import Tensor
 
 train_module = importlib.import_module("safmn.train")  # `safmn.train` is also a function
+cli_module = importlib.import_module("safmn.cli")
 
 
 def _write_chart(path, size=64, seed=0):
@@ -229,6 +230,39 @@ class TestTrain:
         assert rc == 2
         assert "lr_max" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    def test_undersized_image_exits_2_before_step_0(self, tmp_path, capsys):
+        # A 20 px chart beside a 96 px one, 16 px LR patches: image 1 gives a
+        # 10x10 LR image.  Seed 0 draws image 0 first.
+        d = tmp_path / "hr"
+        d.mkdir()
+        _write_chart(d / "a.png", 96, 1)
+        _write_chart(d / "b.png", 20, 2)
+        ckpt, log = tmp_path / "m.ckpt", tmp_path / "t.jsonl"
+        rc = main([
+            "train", "--hr-dir", str(d), "--out", str(ckpt), "--log", str(log),
+            "--iters", "3", "--scale", "2", "--batch-size", "2", "--patch-size", "16",
+            "--seed", "0", "--log-every", "1",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: image 1: LR 10x10 smaller than patch size 16\n"
+        assert log.read_text() == ""
+        assert not ckpt.exists()
+
+    def test_log_is_on_disk_line_by_line(self, hr_dir, tmp_path, monkeypatch):
+        # A run killed between log lines keeps the lines already written.
+        log = tmp_path / "t.jsonl"
+        seen = []
+
+        def fake_train(model, hr_images, cfg, log_stream, checkpoint_path):
+            log_stream.write('{"iter": 0}\n')
+            seen.append(log.read_text())
+            return train_module.TrainResult(1.0, 1.0, 1)
+
+        monkeypatch.setattr(cli_module, "train", fake_train)
+        rc = main(["train", "--hr-dir", str(hr_dir), "--out", str(tmp_path / "m.ckpt"), "--log", str(log)])
+        assert rc == 0
+        assert seen == ['{"iter": 0}\n']
 
     def test_200_iter_overfit_halves_loss(self, tmp_path):
         d = tmp_path / "hr"

@@ -1,14 +1,17 @@
-"""Loss values against hand-derived oracles; optimizer and schedule behavior."""
+"""Loss values against hand-derived oracles; optimizer, schedule and training-loop behavior."""
+import io
 import math
 
 import numpy as np
 import pytest
 
-from safmn.errors import ConfigError, TrainingError
+from chart import make_chart
+from safmn.errors import ConfigError, DataError, TrainingError
 from safmn.loss import LossConfig, frequency_l1, loss_and_grad, mean_abs_error
-from safmn.model import ModelConfig, init_model
+from safmn.model import ModelConfig, SafmnModel, init_model
 from safmn.optim import Adam, CosineSchedule
 from safmn.tensor import Tensor
+from safmn.train import TrainConfig, train
 
 
 class TestLoss:
@@ -212,3 +215,39 @@ class TestCosineSchedule:
     def test_non_finite_or_negative_rates_rejected(self, lr_max, lr_min):
         with pytest.raises(ConfigError, match="finite and non-negative"):
             CosineSchedule(lr_max=lr_max, lr_min=lr_min, total=10)
+
+
+class TestTrain:
+    def _model(self):
+        return init_model(ModelConfig(num_blocks=1, channels=8, scale=2), seed=0)
+
+    def test_undersized_image_refused_before_step_0(self, tmp_path, monkeypatch):
+        # Seed 0 draws image 0 first, so a check left to the sampler would
+        # run a step on it before it ever saw image 1.
+        calls = []
+        real_forward = SafmnModel.forward
+
+        def forward(self, x):
+            calls.append(x.shape)
+            return real_forward(self, x)
+
+        monkeypatch.setattr(SafmnModel, "forward", forward)
+        images = [make_chart(48, seed=1), make_chart(20, seed=2)]  # LR 24 and 10 px
+        cfg = TrainConfig(iters=3, batch_size=2, patch_size=16, seed=0, log_every=1)
+        log, ckpt = io.StringIO(), tmp_path / "m.ckpt"
+        with pytest.raises(DataError, match="image 1: LR 10x10 smaller than patch size 16"):
+            train(self._model(), images, cfg, log, ckpt)
+        assert calls == []
+        assert log.getvalue() == ""
+        assert not ckpt.exists()
+
+    def test_one_shot_generator_matches_list(self, tmp_path):
+        images = [make_chart(40, seed=3), make_chart(48, seed=4)]
+        cfg = TrainConfig(iters=3, batch_size=2, patch_size=8, seed=2, log_every=1)
+        outs = []
+        for tag, source in (("list", images), ("generator", (im for im in images))):
+            log, ckpt = io.StringIO(), tmp_path / f"{tag}.ckpt"
+            train(self._model(), source, cfg, log, ckpt)
+            outs.append((log.getvalue(), ckpt.read_bytes()))
+        assert outs[0][0].count("\n") == 3
+        assert outs[0] == outs[1]

@@ -588,10 +588,14 @@ class TestActivationsAndNorms:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_gelu_keeps_positive_infinity(self, dtype):
         # +inf stays inf, and -inf gives 0 in both dtypes, not NaN from -inf * Phi(-inf).
-        x = np.array([np.inf, 1e30, -1e30, 0.0, -np.inf], dtype=dtype).reshape(1, 5, 1, 1)
+        # The derivative's limits are 1 and 0, not NaN from x * pdf(x) = inf * 0.
+        # NaN stays NaN both ways.
+        x = np.array([np.inf, 1e30, -1e30, 0.0, -np.inf, np.nan], dtype=dtype).reshape(1, 6, 1, 1)
         with np.errstate(over="ignore"):
-            out = ops.gelu(Tensor(x)).data.ravel()
-        np.testing.assert_array_equal(out, np.array([np.inf, 1e30, 0.0, 0.0, 0.0], dtype=dtype))
+            y = ops.gelu(Tensor(x, requires_grad=True))
+            (dx,) = y._backward(np.ones_like(x))
+        np.testing.assert_array_equal(y.data.ravel(), np.array([np.inf, 1e30, 0.0, 0.0, 0.0, np.nan], dtype=dtype))
+        np.testing.assert_array_equal(dx.ravel(), np.array([1.0, 1.0, 0.0, 0.5, 0.0, np.nan], dtype=dtype))
 
     @pytest.mark.parametrize("sigma", [0.5, 2.0])
     def test_float32_gelu_tracks_float64_erf(self, sigma):
