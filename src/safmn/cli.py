@@ -161,11 +161,13 @@ def _build_train_config(args, file_cfg: dict[str, dict[str, str]]) -> tuple[Mode
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     model_cfg, train_cfg, mode = _build_train_config(args, file_cfg)
+    out_path = Path(args.out)
+    if out_path.is_dir():  # the checkpoint's final rename onto it would fail after training
+        raise DataError(f"--out {out_path} is a directory, not a checkpoint file")
     tensor.set_mode(mode)
     paths = _png_paths(args.hr_dir)
     images = [decode_png(p) for p in paths]  # a bad file exits 2 before the log opens
     log_path = Path(args.log) if args.log else None
-    out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     # Line-buffered, so a killed run keeps every line it logged.
     log_stream = open(log_path, "w", buffering=1) if log_path else sys.stdout

@@ -43,7 +43,6 @@ class PatchSampler:
             raise DataError(f"invalid sampler sizes patch={patch_size} batch={batch_size}")
         self.patch_size = patch_size
         self.batch_size = batch_size
-        self.seed = seed
         self.augment = augment
         self._rng = np.random.default_rng(seed)
 

@@ -306,8 +306,8 @@ class SAFM(Module):
 class SqueezeExcite(Module):
     """Channel gate: global average pool, bottleneck MLP, sigmoid scale."""
 
-    def __init__(self, c: int, reduction: int = SE_REDUCTION):
-        hidden = c // reduction
+    def __init__(self, c: int):
+        hidden = c // SE_REDUCTION
         self.reduce = Conv2d(c, hidden, 1)
         self.expand = Conv2d(hidden, c, 1)
 
@@ -394,21 +394,17 @@ class FMM(Module):
         rows = ops.strip_rows(w + 2 * p)
         xd = x.data
         out = np.empty_like(xd)
-        buf = np.zeros((n, c, min(rows, h) + 2 * p, w + 2 * p), dtype=xd.dtype) if p else None
+        # Zeroed, although padded_rows fills it: with np.empty the x4 infer
+        # process peaked about 4.5 MB higher in most runs.
+        buf = np.zeros((n, c, (min(rows, h) + 2 * p) * (w + 2 * p)), dtype=xd.dtype)
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
-            lo, hi = max(r0 - p, 0), min(r1 + p, h)
-            y = Tensor(xd[:, :, lo:hi])
+            lo, m = max(r0 - p, 0), r1 - r0 + 2 * p
+            y = Tensor(xd[:, :, lo : min(r1 + p, h)])
             if self.norm2 is not None:
                 y = self.norm2(y)
-            if p:
-                strip = buf[:, :, : r1 - r0 + 2 * p]
-                top, bottom = lo - (r0 - p), hi - (r0 - p)
-                strip[:, :, :top] = 0  # the halo beyond the image border
-                strip[:, :, bottom:] = 0
-                strip[:, :, top:bottom, p : p + w] = y.data
-                y = Tensor(strip)
-            np.add(self.mixer(y, bordered=True).data, xd[:, :, r0:r1], out=out[:, :, r0:r1])
+            strip = ops.padded_rows(y.data, p, r0 - lo, r0 - lo + m, 1, buf).reshape(n, c, m, w + 2 * p)
+            np.add(self.mixer(Tensor(strip), bordered=True).data, xd[:, :, r0:r1], out=out[:, :, r0:r1])
         return Tensor(out)
 
     def _streams(self, x: Tensor) -> bool:

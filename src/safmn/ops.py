@@ -134,12 +134,12 @@ def strip_rows(wp: int) -> int:
     return max(16, -(-4096 // wp))
 
 
-def _padded_rows(x, padding, p0, p1, kw, buf=None):
-    # Rows [p0, p1) of the zero-padded input, flattened per channel to
-    # (p1 - p0)*wp values plus kw - 1 trailing zeros for the wrapped windows
-    # of the last row.  Without padding and with kw == 1 this is a view of x;
-    # otherwise it is written into the leading columns of ``buf``, an
-    # (n, c, >= that many) workspace, or into a fresh array when None.
+def padded_rows(x, padding, p0, p1, kw, buf=None):
+    """Rows [p0, p1) of the zero-padded input, flattened per channel to
+    (p1 - p0)*wp values plus kw - 1 trailing zeros for the wrapped windows
+    of the last row.  Without padding and with kw == 1 this is a view of x;
+    otherwise it is written into the leading columns of ``buf``, an
+    (n, c, >= that many) workspace, or into a fresh array when None."""
     n, c, h, w = x.shape
     wp = w + 2 * padding
     m = (p1 - p0) * wp
@@ -158,7 +158,7 @@ def _padded_rows(x, padding, p0, p1, kw, buf=None):
 
 def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise, need_dx):
     # Output rows are computed in strips of R rows.  A strip's R + kh - 1
-    # padded input rows are flattened per channel (_padded_rows), so output
+    # padded input rows are flattened per channel (padded_rows), so output
     # pixel (i, j) of the strip reads tap (di, dj) at flat index
     # i*wp + j + di*wp + dj: each tap is a window of R*wp columns at a fixed
     # offset, and the wp - ow columns per row that wrap into the next row are
@@ -193,7 +193,7 @@ def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise, need_dx):
     for r0 in range(0, oh, rows):
         r = min(rows, oh - r0)
         s = r * wp
-        xs = _padded_rows(x, padding, r0, r0 + r + kh - 1, kw, strip)
+        xs = padded_rows(x, padding, r0, r0 + r + kh - 1, kw, strip)
         rows_out = out[:, :, r0 : r0 + r]
         # Without wrapped columns the strip is computed in its output rows.
         dst = rows_out.reshape(n, c_out, s) if res is None else res[:, :, :s]
@@ -243,7 +243,7 @@ def _shifted_conv(x, weight, bias, padding, oh, ow, depthwise, need_dx):
                 for i in range(0, n, step)
             ]
             dx = parts[0] if step == n else np.concatenate(parts)
-        xp = _padded_rows(x, padding, 0, h + 2 * padding, kw)
+        xp = padded_rows(x, padding, 0, h + 2 * padding, kw)
         span = oh * wp
         if wp == ow:
             gp = g.reshape(n, c_out, span)

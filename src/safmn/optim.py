@@ -18,15 +18,10 @@ class Adam:
     gradient is refused before any parameter is touched.
     """
 
-    def __init__(
-        self,
-        named_params: list[tuple[str, Tensor]],
-        beta1: float = 0.9,
-        beta2: float = 0.99,
-        eps: float = 1e-8,
-    ):
+    beta1, beta2, eps = 0.9, 0.99, 1e-8
+
+    def __init__(self, named_params: list[tuple[str, Tensor]]):
         self.named_params = list(named_params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {
             name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in self.named_params

@@ -40,8 +40,6 @@ class LayerCost:
 @dataclass
 class ComplexityReport:
     layers: list[LayerCost]
-    input_hw: tuple[int, int]
-    batch: int = 1
 
     @property
     def total_params(self) -> int:
@@ -81,7 +79,7 @@ def profile_model(config: ModelConfig, in_h: int, in_w: int, batch: int = 1) -> 
             recs.append(_conv_cost(name, m, *out_hw.get(id(m), (in_h, in_w)), batch))
         elif isinstance(m, Norm):
             recs.append(LayerCost(name, m.kind, sum(p.size for _, p in m.named_parameters()), 0, 0))
-    return ComplexityReport(recs, (in_h, in_w), batch)
+    return ComplexityReport(recs)
 
 
 def config_of(model_or_config: SafmnModel | ModelConfig) -> ModelConfig:

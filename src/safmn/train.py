@@ -36,8 +36,10 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
-        if self.iters < 1:
-            raise ConfigError(f"iters must be >= 1, got {self.iters}")
+        for name in ("iters", "batch_size", "patch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        CosineSchedule(self.lr_max, self.lr_min, self.iters)  # refuses NaN, negative or inverted rates
         if not 0 <= self.seed < 2**64:  # NumPy's seeds and the checkpoint's u64 field
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("log_every", "checkpoint_every"):
@@ -61,7 +63,7 @@ def prepare_pairs(
     """
     pairs = []
     for i, hr in enumerate(hr_images):
-        hr_c = np.ascontiguousarray(crop_to_scale(hr, scale, f"image {i}"))
+        hr_c = crop_to_scale(hr, scale, f"image {i}")
         _, h2, w2 = hr_c.shape
         lr = bicubic_resize(hr_c, h2 // scale, w2 // scale)
         pairs.append((lr, hr_c))

@@ -231,6 +231,30 @@ class TestTrain:
         assert "lr_max" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_out_naming_a_directory_exits_2_before_training(self, hr_dir, tmp_path, capsys):
+        # The checkpoint is renamed onto --out only after the last step, so a
+        # directory there must be refused before any image is decoded.
+        out, log = tmp_path / "outdir", tmp_path / "t.jsonl"
+        out.mkdir()
+        rc = main([
+            "train", "--hr-dir", str(hr_dir), "--out", str(out), "--log", str(log),
+            "--iters", "3", "--scale", "2", "--batch-size", "2", "--patch-size", "16", "--log-every", "1",
+        ])
+        assert rc == 2
+        assert "--out" in capsys.readouterr().err
+        assert not log.exists()
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("flag, value, setting", [("--lr-max", "nan", "lr_max"), ("--batch-size", "0", "batch_size")])
+    def test_bad_setting_exits_2_before_any_png_is_decoded(self, tmp_path, capsys, flag, value, setting):
+        d = tmp_path / "hr"
+        d.mkdir()
+        (d / "bad.png").write_bytes(b"not a png")
+        rc = main(["train", "--hr-dir", str(d), "--out", str(tmp_path / "m.ckpt"), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert setting in err and "bad.png" not in err
+
     def test_undersized_image_exits_2_before_step_0(self, tmp_path, capsys):
         # A 20 px chart beside a 96 px one, 16 px LR patches: image 1 gives a
         # 10x10 LR image.  Seed 0 draws image 0 first.

@@ -1,17 +1,19 @@
 """Loss values against hand-derived oracles; optimizer, schedule and training-loop behavior."""
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chart import make_chart
 from safmn.errors import ConfigError, DataError, TrainingError
+from safmn.imaging.png import ImageBuffer
 from safmn.loss import LossConfig, frequency_l1, loss_and_grad, mean_abs_error
 from safmn.model import ModelConfig, SafmnModel, init_model
 from safmn.optim import Adam, CosineSchedule
 from safmn.tensor import Tensor
-from safmn.train import TrainConfig, train
+from safmn.train import TrainConfig, prepare_pairs, train
 
 
 class TestLoss:
@@ -251,3 +253,17 @@ class TestTrain:
             outs.append((log.getvalue(), ckpt.read_bytes()))
         assert outs[0][0].count("\n") == 3
         assert outs[0] == outs[1]
+
+    def test_prepare_pairs_keeps_the_crop_without_a_copy(self):
+        # to_planes() is a transposed view, so a contiguous copy of the crop
+        # would hold the image twice while the LR is made.  257x311 crops to
+        # 256x310 at x2.
+        u8 = np.random.default_rng(0).integers(0, 256, (257, 311, 3), dtype=np.uint8)
+        planes = ImageBuffer(u8).to_planes()
+        tracemalloc.start()
+        try:
+            prepare_pairs([planes], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * planes.nbytes, f"prepare_pairs peaked at {peak / planes.nbytes:.2f}x the planes"
